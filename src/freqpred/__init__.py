@@ -26,7 +26,6 @@ from .accuracy import (
 )
 from .combinatorics import (
     CoefficientTable,
-    ExactRational,
     alpha_coefficient,
     alpha_row,
     binomial,

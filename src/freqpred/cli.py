@@ -3,7 +3,8 @@ advantage thresholds, posterior prediction, and Monte Carlo runs, emitted
 as CSV (default) or JSON.
 
 Number parsing convention: "p/q" strings are exact rationals and route
-through the exact evaluation paths; plain decimals are floats.  Prior
+through the exact evaluation paths; plain decimals are floats.  A
+``threshold`` target parses the same way as theta.  Prior
 specifications ("beta:a,b" / "discrete:v=w,...") always parse their
 numbers exactly, so conjugate answers stay exact.
 """
@@ -167,8 +168,9 @@ def cmd_curve(theta_text: str, k_max: int, out: OutputEnvelope, digits: int) -> 
     return 0
 
 
-def cmd_threshold(theta_text: str, target: float, out: OutputEnvelope, digits: int) -> int:
+def cmd_threshold(theta_text: str, target_text: str, out: OutputEnvelope, digits: int) -> int:
     theta = parse_theta(theta_text)
+    target = parse_theta(target_text)
     k = acc.threshold_k(theta, target)
     rows = [[theta_text, target, "unreachable" if k is None else k]]
     emit(out, ["theta", "target", "k"], rows, digits)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="first k reaching a target accuracy")
     p.add_argument("theta")
-    p.add_argument("target", type=float)
+    p.add_argument("target", help="decimal ('0.53') or exact rational ('53/100')")
     add_common(p)
 
     p = sub.add_parser("posterior", help="posterior prediction for one count")

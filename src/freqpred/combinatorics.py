@@ -3,11 +3,10 @@ Catalan numbers, and the signed coefficient algebra behind the expanded
 accuracy polynomials.
 
 All functions return exact Python integers or ``fractions.Fraction``
-values; nothing here ever rounds.  ``Fraction`` (aliased ``ExactRational``)
-is the canonical carrier for exact probabilities throughout the package:
-it keeps gcd-reduced numerator/denominator pairs with a positive
-denominator, which is exactly the invariant the rest of the code relies
-on.
+values; nothing here ever rounds.  ``Fraction`` is the canonical carrier
+for exact probabilities throughout the package: it keeps gcd-reduced
+numerator/denominator pairs with a positive denominator, which is exactly
+the invariant the rest of the code relies on.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
 
-ExactRational = Fraction
-
 __all__ = [
-    "ExactRational",
     "CoefficientTable",
     "binomial",
     "catalan",

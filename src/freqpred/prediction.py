@@ -33,7 +33,9 @@ __all__ = [
     "prior_covariance",
 ]
 
+ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 # float posterior means this close to 1/2 count as exact ties
 FLOAT_TIE_TOLERANCE = 1e-14
@@ -75,6 +77,13 @@ class PredictionArray:
             for phi in row:
                 _check_probability(phi, f"entry in row {k}")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Weight, ...], ...]) -> "PredictionArray":
+        """Wrap rows that are valid by construction, skipping the entry checks."""
+        array = object.__new__(cls)
+        object.__setattr__(array, "rows", rows)
+        return array
+
     @property
     def k_max(self) -> int:
         return len(self.rows) - 1
@@ -86,19 +95,17 @@ class PredictionArray:
 def frequent_outcome_array(k_max: int) -> PredictionArray:
     """Predict the outcome observed most often; flip a fair coin on ties.
 
-    Row 0 (nothing observed yet) is the single tie entry 1/2.
+    Row 0 (nothing observed yet) is the single tie entry 1/2.  Row k holds
+    ceil(k/2) zeros, a tie entry when k is even, then ceil(k/2) ones; every
+    row shares the same three constants.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    rows = []
-    for k in range(k_max + 1):
-        rows.append(
-            tuple(
-                Fraction(0) if 2 * n < k else (HALF if 2 * n == k else Fraction(1))
-                for n in range(k + 1)
-            )
-        )
-    return PredictionArray(tuple(rows))
+    rows = tuple(
+        (ZERO,) * ((k + 1) // 2) + (HALF,) * (1 - k % 2) + (ONE,) * ((k + 1) // 2)
+        for k in range(k_max + 1)
+    )
+    return PredictionArray._trusted(rows)
 
 
 def conditional_accuracy(phi: Weight, theta: Theta) -> Weight:
@@ -244,9 +251,9 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
             if _tie(mean):
                 row.append(HALF)
             elif mean > HALF:
-                row.append(Fraction(1))
+                row.append(ONE)
             else:
-                row.append(Fraction(0))
+                row.append(ZERO)
         rows.append(tuple(row))
     return PredictionArray(tuple(rows))
 

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freqpred.accuracy import (
+    _plateau_numerators,
+    _t_next_row,
+    _t_rows,
     accuracy_condensed,
     accuracy_curve,
     accuracy_direct,
@@ -302,3 +305,62 @@ class TestThreshold:
     def test_target_domain(self):
         with pytest.raises(ValueError):
             threshold_k(HALF, 1.5)
+
+    def test_near_fair_theta(self):
+        # once 240 s for float theta: every plateau step is an exact integer step
+        assert threshold_k(Fraction(49, 100), Fraction(509, 1000)) == 6763
+        assert threshold_k(0.49, 0.509) == 6763
+
+
+KERNEL_GRID = [Fraction(0), HALF, Fraction(1)] + [
+    Fraction(p, q) for q in (3, 7, 20, 101) for p in range(1, q) if 2 * p != q
+][::3]
+
+
+class TestIntegerKernels:
+    def test_plateau_stream_matches_fraction_sum(self):
+        # pi_(2a+1) for a <= 99 covers every k <= 200
+        for theta in KERNEL_GRID:
+            d = theta.denominator
+            pi = HALF
+            for a, s in zip(range(100), _plateau_numerators(theta.numerator, d)):
+                pi += h_function(a, theta)
+                assert Fraction(s, 2 * d ** (2 * a + 2)) == pi
+
+    def test_integer_t_table_matches_fraction_rows(self):
+        for theta in KERNEL_GRID:
+            d = theta.denominator
+            weights = (theta, 1 - theta, 2 * theta * theta, 2 * (1 - theta) ** 2)
+            row = [HALF]
+            for k, scaled in enumerate(_t_rows(theta, 60)):
+                assert [Fraction(v, 2 * d ** (2 * k)) for v in scaled] == row
+                row = _t_next_row(row, k, weights)
+
+    @pytest.mark.parametrize("theta", [0.45, 0.499])
+    def test_float_curve_bits_match_exact_dyadic_sum(self, theta):
+        exact = Fraction(theta)
+        ideal = max(exact, 1 - exact)
+        pi = HALF
+        points = accuracy_curve(theta, 300)
+        for point in points:
+            if point.k % 2 == 1:
+                pi += h_function((point.k - 1) // 2, exact)
+            assert point == (point.k, float(pi), float(ideal), float(ideal - pi))
+
+
+class TestLargeKFloat:
+    """C(2a, a) and C(k, n) leave the float range from k ~ 1030 on."""
+
+    def test_every_route_finite_and_close(self):
+        k, theta = 1100, 0.45
+        exact = accuracy_recursive(k, Fraction(theta))
+        for path in ALL_PATHS:
+            value = path(k, theta)
+            assert isinstance(value, float)
+            assert abs(value - exact) < 1e-12, path.__name__
+
+    def test_terms(self):
+        theta = 0.45
+        exact = Fraction(theta)
+        assert h_function(600, theta) == pytest.approx(float(h_function(600, exact)), rel=1e-12)
+        assert bin_pmf(550, 1100, theta) == float(bin_pmf(550, 1100, exact))

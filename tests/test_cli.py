@@ -92,6 +92,13 @@ class TestAccuracy:
         code, _, err = run(capsys, ["accuracy", "4", "1.2"])
         assert code == 1 and "0, 1" in err
 
+    def test_decimal_theta_past_float_binomial_range(self, capsys):
+        code, out, _ = run(capsys, ["accuracy", "1100", "0.45"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [r[2] for r in rows] == ["direct", "ttable", "recursive", "condensed", "expanded"]
+        assert all(r[4] == "true" for r in rows)
+
 
 class TestCurve:
     def test_headline_final_gap(self, capsys):
@@ -132,6 +139,12 @@ class TestThreshold:
         code, out, _ = run(capsys, ["threshold", "0.8", "0.5"])
         _, rows = parse_csv(out)
         assert rows[0][2] == "0"
+
+    def test_exact_target(self, capsys):
+        code, out, _ = run(capsys, ["threshold", "9/20", "53/100"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert rows[0][2] == "71"
 
 
 class TestPosterior:
@@ -184,6 +197,12 @@ class TestSimulate:
         header, rows = parse_csv(out)
         assert code == 0
         assert header == ["k", "hits", "trials", "estimate", "stderr"]
+
+    def test_analytic_column_past_float_binomial_range(self, capsys):
+        code, out, _ = run(capsys, ["simulate", "0.45", "1100", "10", "--seed", "5"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert float(rows[-1][5]) == pytest.approx(0.5499556648, abs=1e-10)
 
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, ["simulate", "2/5", "6", "2000", "--seed", "3"])

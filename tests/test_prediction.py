@@ -62,6 +62,14 @@ class TestFrequentOutcomeArray:
     def test_odd_row_has_no_tie(self):
         assert frequent_outcome_array(5).rows[5] == (0, 0, 0, 1, 1, 1)
 
+    def test_rows_match_entrywise_definition(self):
+        array = frequent_outcome_array(60)
+        for k, row in enumerate(array.rows):
+            assert row == tuple(
+                Fraction(0) if 2 * n < k else (HALF if 2 * n == k else Fraction(1))
+                for n in range(k + 1)
+            )
+
     def test_majority_rule_everywhere(self):
         array = frequent_outcome_array(12)
         for k, row in enumerate(array.rows):
