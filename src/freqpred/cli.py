@@ -15,8 +15,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import accuracy as acc
@@ -30,9 +30,8 @@ from .prediction import (
     posterior_correct_probability,
     posterior_mean,
 )
-from .simulator import SimulationConfig, simulate_accuracy
 
-__all__ = ["main", "OutputEnvelope"]
+__all__ = ["main"]
 
 ALPHA_DEVIATION_NOTE = (
     "row-sum identity sum(alpha)=-1 forces 462; "
@@ -46,14 +45,6 @@ ACCURACY_PATHS = {
     "condensed": acc.accuracy_condensed,
     "expanded": acc.accuracy_expanded,
 }
-
-
-@dataclass(frozen=True)
-class OutputEnvelope:
-    """Where and how a command writes its table."""
-
-    format: str = "csv"
-    destination: str | None = None  # None -> stdout
 
 
 def parse_theta(text: str):
@@ -103,19 +94,22 @@ def format_number(value, digits: int) -> str:
 
 
 def _to_jsonable(value):
+    # RFC 8259 has no Infinity or NaN: a non-finite float becomes null
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    return float(value)
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
-def emit(envelope: OutputEnvelope, header: list[str], rows: list[list], digits: int) -> None:
-    """Write one table as CSV (header row, '\\n' terminated) or JSON array."""
-    if envelope.format == "json":
+def emit(fmt: str, out: str | None, header: list[str], rows: list[list], digits: int) -> None:
+    """Write one table as CSV (header row, '\\n' terminated) or JSON array,
+    to the file ``out``, or to stdout when ``out`` is None."""
+    if fmt == "json":
         payload = [
             {name: _to_jsonable(value) for name, value in zip(header, row)}
             for row in rows
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -125,87 +119,85 @@ def emit(envelope: OutputEnvelope, header: list[str], rows: list[list], digits: 
                 [cell if isinstance(cell, str) else format_number(cell, digits) for cell in row]
             )
         text = buffer.getvalue()
-    if envelope.destination is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        with open(envelope.destination, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def cmd_coeffs(a_max: int, out: OutputEnvelope, digits: int) -> int:
-    table = CoefficientTable.up_to(a_max)
+def simulate_accuracy(config, array):
+    """``freqpred.simulator.simulate_accuracy``, imported on the first call:
+    the simulator needs numpy, whose import takes longer than the rest of
+    the CLI's start-up, and no other subcommand does."""
+    from .simulator import simulate_accuracy as simulate
+
+    return simulate(config, array)
+
+
+def cmd_coeffs(args):
+    table = CoefficientTable.up_to(args.a_max)
     rows = []
-    for a in range(a_max + 1):
+    for a in range(args.a_max + 1):
         for t, alpha in enumerate(table.row(a), start=1):
             note = ALPHA_DEVIATION_NOTE if (a, t) == (5, 1) else ""
             rows.append([a, t, alpha, note])
-    emit(out, ["a", "i", "alpha", "note"], rows, digits)
-    return 0
+    return ["a", "i", "alpha", "note"], rows, 0
 
 
-def cmd_accuracy(k: int, theta_text: str, path: str, out: OutputEnvelope, digits: int) -> int:
-    theta = parse_theta(theta_text)
-    if path == "all":
+def cmd_accuracy(args):
+    k, theta = args.k, parse_theta(args.theta)
+    if args.path == "all":
         names = [n for n in ACCURACY_PATHS if k >= 1 or n not in ("condensed", "expanded")]
     else:
-        names = [path]
+        names = [args.path]
     values = {name: ACCURACY_PATHS[name](k, theta) for name in names}
     if isinstance(theta, Fraction):
         agree = len(set(values.values())) == 1
     else:
         spread = max(values.values()) - min(values.values())
         agree = spread <= 1e-12
-    rows = [[k, theta_text, name, values[name], agree] for name in names]
-    emit(out, ["k", "theta", "path", "pi", "agree"], rows, digits)
-    return 0 if agree else 1
+    rows = [[k, args.theta, name, values[name], agree] for name in names]
+    return ["k", "theta", "path", "pi", "agree"], rows, 0 if agree else 1
 
 
-def cmd_curve(theta_text: str, k_max: int, out: OutputEnvelope, digits: int) -> int:
-    theta = parse_theta(theta_text)
-    points = acc.accuracy_curve(theta, k_max)
+def cmd_curve(args):
+    points = acc.accuracy_curve(parse_theta(args.theta), args.k_max)
     rows = [[p.k, p.accuracy, p.ideal, p.gap] for p in points]
-    emit(out, ["k", "pi_k", "ideal", "gap"], rows, digits)
-    return 0
+    return ["k", "pi_k", "ideal", "gap"], rows, 0
 
 
-def cmd_threshold(theta_text: str, target_text: str, out: OutputEnvelope, digits: int) -> int:
-    theta = parse_theta(theta_text)
-    target = parse_theta(target_text)
+def cmd_threshold(args):
+    theta = parse_theta(args.theta)
+    target = parse_theta(args.target)
     k = acc.threshold_k(theta, target)
-    rows = [[theta_text, target, "unreachable" if k is None else k]]
-    emit(out, ["theta", "target", "k"], rows, digits)
-    return 0
+    rows = [[args.theta, target, "unreachable" if k is None else k]]
+    return ["theta", "target", "k"], rows, 0
 
 
-def cmd_posterior(prior_spec: str, k: int, n: int, out: OutputEnvelope, digits: int) -> int:
-    prior = parse_prior(prior_spec)
-    stat = CountStatistic(k, n)
+def cmd_posterior(args):
+    prior = parse_prior(args.prior)
+    stat = CountStatistic(args.k, args.n)
     mean = posterior_mean(prior, stat)
-    phi = optimal_array(prior, k).phi(k, n)
+    phi = optimal_array(prior, args.k).phi(args.k, args.n)
     probability = posterior_correct_probability(phi, prior, stat)
-    rows = [[prior_spec, k, n, mean, phi, probability]]
-    emit(out, ["prior", "k", "n", "mean", "phi", "probability"], rows, digits)
-    return 0
+    rows = [[args.prior, args.k, args.n, mean, phi, probability]]
+    return ["prior", "k", "n", "mean", "phi", "probability"], rows, 0
 
 
-def cmd_simulate(
-    source_text: str,
-    k_max: int,
-    reps: int,
-    seed: int,
-    out: OutputEnvelope,
-    digits: int,
-) -> int:
-    if source_text.startswith(("beta:", "discrete:")):
-        source = parse_prior(source_text)
+def cmd_simulate(args):
+    from .simulator import SimulationConfig
+
+    if args.theta_or_prior.startswith(("beta:", "discrete:")):
+        source = parse_prior(args.theta_or_prior)
         fixed_theta = None
     else:
-        source = parse_theta(source_text)
+        source = parse_theta(args.theta_or_prior)
         fixed_theta = float(source)
     config = SimulationConfig(
-        theta_source=source, horizon=k_max, replications=reps, seed=seed
+        theta_source=source, horizon=args.k_max, replications=args.reps, seed=args.seed
     )
-    report = simulate_accuracy(config, frequent_outcome_array(k_max))
+    report = simulate_accuracy(config, frequent_outcome_array(args.k_max))
     header = ["k", "hits", "trials", "estimate", "stderr"]
     if fixed_theta is not None:
         header += ["analytic_pi", "z"]
@@ -218,11 +210,18 @@ def cmd_simulate(
             if step.stderr > 0:
                 z = diff / step.stderr
             else:
-                z = 0.0 if diff == 0 else float("inf") * (1 if diff > 0 else -1)
+                z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
             row += [analytic, z]
         rows.append(row)
-    emit(out, header, rows, digits)
-    return 0
+    return header, rows, 0
+
+
+def significant_digits(text: str) -> int:
+    """``--digits``: an integer of at least 1 (a precision of 0 prints 1 digit)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,14 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--digits", type=int, default=10, help="significant digits")
+        p.add_argument("--digits", type=significant_digits, default=10, help="significant digits")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("coeffs", help="expanded-polynomial coefficient table")
     p.add_argument("a_max", type=int)
-    add_common(p)
+    add_common(p, cmd_coeffs)
 
     p = sub.add_parser("accuracy", help="pi_k(theta) by one or all evaluation paths")
     p.add_argument("k", type=int)
@@ -248,56 +248,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--path", choices=[*ACCURACY_PATHS, "all"], default="all",
     )
-    add_common(p)
+    add_common(p, cmd_accuracy)
 
     p = sub.add_parser("curve", help="accuracy vs ideal for k = 1..k_max")
     p.add_argument("theta")
     p.add_argument("k_max", type=int)
-    add_common(p)
+    add_common(p, cmd_curve)
 
     p = sub.add_parser("threshold", help="first k reaching a target accuracy")
     p.add_argument("theta")
     p.add_argument("target", help="decimal ('0.53') or exact rational ('53/100')")
-    add_common(p)
+    add_common(p, cmd_threshold)
 
     p = sub.add_parser("posterior", help="posterior prediction for one count")
     p.add_argument("prior", help="'beta:a,b' or 'discrete:v=w,...'")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    add_common(p)
+    add_common(p, cmd_posterior)
 
     p = sub.add_parser("simulate", help="Monte Carlo accuracy of the frequent-outcome rule")
     p.add_argument("theta_or_prior", help="theta ('0.45', '9/20') or prior spec")
     p.add_argument("k_max", type=int)
     p.add_argument("reps", type=int)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, cmd_simulate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out = OutputEnvelope(format=args.format, destination=args.out)
     try:
-        if args.command == "coeffs":
-            return cmd_coeffs(args.a_max, out, args.digits)
-        if args.command == "accuracy":
-            return cmd_accuracy(args.k, args.theta, args.path, out, args.digits)
-        if args.command == "curve":
-            return cmd_curve(args.theta, args.k_max, out, args.digits)
-        if args.command == "threshold":
-            return cmd_threshold(args.theta, args.target, out, args.digits)
-        if args.command == "posterior":
-            return cmd_posterior(args.prior, args.k, args.n, out, args.digits)
-        if args.command == "simulate":
-            return cmd_simulate(
-                args.theta_or_prior, args.k_max, args.reps, args.seed, out, args.digits
-            )
-        raise AssertionError(f"unhandled command {args.command!r}")
+        header, rows, code = args.run(args)
+        emit(args.format, args.out, header, rows, args.digits)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

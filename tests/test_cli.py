@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +207,12 @@ class TestSimulate:
         assert code == 0
         assert float(rows[-1][5]) == pytest.approx(0.5499556648, abs=1e-10)
 
+    def test_zero_stderr_z_is_signed_infinity_in_csv(self, capsys):
+        code, out, _ = run(capsys, ["simulate", "0.999", "3", "5", "--seed", "1"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [r[6] for r in rows[1:]] == ["inf", "inf"]
+
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, ["simulate", "2/5", "6", "2000", "--seed", "3"])
         _, second, _ = run(capsys, ["simulate", "2/5", "6", "2000", "--seed", "3"])
@@ -233,8 +242,44 @@ class TestOutputHandling:
         assert "0.5298359384" in ten
         assert "0.5298" in four and "0.5298359384" not in four
 
+    @pytest.mark.parametrize("digits", ["0", "-1"])
+    def test_digits_below_one_rejected_at_parse_time(self, capsys, digits):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["accuracy", "70", "9/20", "--digits", digits])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and "--digits" in captured.err
+
+    def test_json_is_strict_when_z_is_infinite(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        argv = ["simulate", "0.999", "3", "5", "--seed", "1", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert [row["z"] for row in payload[1:]] == [None, None]
+
     def test_json_simulate(self, capsys):
         code, out, _ = run(capsys, ["simulate", "0.5", "3", "100", "--seed", "2", "--format", "json"])
         payload = json.loads(out)
         assert code == 0
         assert {"k", "hits", "trials", "estimate", "stderr", "analytic_pi", "z"} == set(payload[0])
+
+
+def test_only_simulate_loads_numpy():
+    script = """
+import sys
+from freqpred import cli
+for argv in (["coeffs", "3"], ["accuracy", "9", "9/20"], ["curve", "0.45", "9"],
+             ["threshold", "9/20", "0.53"], ["posterior", "beta:1,1", "4", "3"]):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded before simulate"
+assert cli.main(["simulate", "0.45", "5", "100", "--seed", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
