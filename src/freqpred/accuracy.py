@@ -13,31 +13,28 @@ routes are provided and must agree:
 * ``accuracy_expanded``   -- integer-coefficient polynomial form.
 
 Arithmetic convention: exact inputs (``int``, ``Fraction``) produce exact
-``Fraction`` results; ``float`` inputs produce floats.  The float results
-agree with the exact ones to well under 1e-12 on the reference grid: the
-direct/t-table/recursive/condensed routes are sums of non-negative terms,
-and the expanded route (whose raw coefficients alternate and grow too
-fast for float Horner to stay that accurate past k ~ 45) evaluates
-exactly on the dyadic rational of the input before rounding once.  Float
-terms never pass through a big integer times a float, so no route
-overflows at large k: ``bin_pmf`` divides exact integers once, the direct
-route builds its binomial terms out from the mode, and the central terms
-C(2a, a) x^a come from a ratio recurrence.
+``Fraction`` results; ``float`` inputs produce floats.  Every ``pi_k`` is
+a polynomial in theta with integer coefficients, so at ``theta = p/d`` it
+is an integer over a power of d, and a float theta is exactly such a p/d
+(its dyadic value).  ``bin_pmf``, ``h_function``, the direct, recursive
+and expanded routes, the curve and the threshold search each run one
+integer kernel on p and d and divide once (``_number``): a float result is
+the correctly rounded exact answer at the float's dyadic value, the same
+bits as ``float(route(k, Fraction(theta)))``, and cannot overflow at large
+k.  For a float theta the t-table and the Catalan partial sum of the
+condensed route run in floats, because their exact forms grow too fast;
+they stay within 1e-12 of the exact value.
 
-Integer-scaled kernels: for exact ``theta = p/d`` the plateau increments
-are summed as integers, with no gcd per term.  ``_plateau_numerators``
-yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
+The plateau increments are summed as integers, with no gcd per term.
+``_plateau_numerators`` yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
 
     S_0 = d^2 + (d-2p)^2,   S_a = d^2 S_(a-1) + C(2a, a) (p(d-p))^a (d-2p)^2,
 
 and is the one plateau stream behind ``accuracy_recursive``,
-``accuracy_curve`` and ``threshold_k``.  The curve and the threshold search
-also run it on the exact dyadic value of a float ``theta``; a float result
-is one correctly rounded ``int / int`` division, the same bits as rounding
-the exact ``Fraction``.  The exact t-table runs its dynamic program on
-integers, row k scaled by ``2 d^(2k)``.  A ``Fraction`` is built only for a
-value that is returned.  Single runs on a 2-vCPU VM (Python 3.11.7), the
-summed ``Fraction`` increments before and these kernels after:
+``accuracy_curve`` and ``threshold_k``.  The exact t-table runs its dynamic
+program on integers, row k scaled by ``2 d^(2k)``.  Single runs on a
+2-vCPU VM (Python 3.11.7), the summed ``Fraction`` increments before and
+these kernels after:
 
     threshold_k(49/100, 509/1000)     9.8 s  -> 0.06 s
     threshold_k(0.49, 0.509)          267 s  -> 0.8 s
@@ -50,7 +47,6 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import islice
-from math import fsum
 from typing import Iterator, NamedTuple, Union
 
 from .combinatorics import alpha_row, binomial, catalan_series
@@ -88,6 +84,19 @@ def _checked(theta: Theta) -> Theta:
     return theta
 
 
+def _ratio(theta: Theta) -> tuple[int, int, bool]:
+    """(p, d, as_float) with theta = p/d exactly; a float is its dyadic value."""
+    theta = _checked(theta)
+    p, d = theta.as_integer_ratio()
+    return p, d, isinstance(theta, float)
+
+
+def _number(num: int, den: int, as_float: bool) -> Theta:
+    """num/den as a Fraction, or for float input rounded once (``int / int``
+    is correctly rounded: the same bits as ``float(Fraction(num, den))``)."""
+    return num / den if as_float else Fraction(num, den)
+
+
 def _plateau_index(k: int) -> int:
     # k = 2a+1 and k = 2a+2 share one polynomial; a = ceil(k/2) - 1.
     return (k + 1) // 2 - 1
@@ -110,41 +119,26 @@ def _plateau_numerators(p: int, d: int) -> Iterator[int]:
         s = d2 * s + central * lift
 
 
-def _central_floats(x: float) -> Iterator[float]:
-    """Yield C(2a, a) x^a for a = 0, 1, ... and float 0 <= x <= 1/4.
-
-    Each term is the last times x 2(2a-1)/a < 4x <= 1, so the terms fall
-    monotonically; C(2a, a) and x^a would each leave the float range on
-    their own past a ~ 515.
-    """
-    term, a = 1.0, 0
-    while True:
-        yield term
-        a += 1
-        term *= x * (2 * (2 * a - 1) / a)
-
-
-def _central(a: int, x: Theta) -> Theta:
-    """C(2a, a) x^a, exactly for exact x and by the ratio recurrence for float x."""
-    if isinstance(x, float):
-        return next(islice(_central_floats(x), a, None))
-    return binomial(2 * a, a) * x**a
-
-
 def bin_pmf(n: int, k: int, theta: Theta) -> Theta:
     """Binomial probability C(k, n) theta^n (1-theta)^(k-n).
 
-    A float theta = p/d is evaluated exactly on its dyadic value and
-    rounded once, by an integer division, so the result stays correct
-    where C(k, n) or theta^n alone would leave the float range.
+    Computed as C(k, n) p^n (d-p)^(k-n) / d^k on theta = p/d, so a float
+    result stays correct where C(k, n) or theta^n alone would leave the
+    float range.
     """
     if not 0 <= n <= k:
         raise ValueError(f"bin_pmf requires 0 <= n <= k, got n={n}, k={k}")
-    theta = _checked(theta)
-    if isinstance(theta, float):
-        p, d = theta.as_integer_ratio()
-        return binomial(k, n) * p**n * (d - p) ** (k - n) / d**k
-    return binomial(k, n) * theta**n * (1 - theta) ** (k - n)
+    p, d, as_float = _ratio(theta)
+    return _number(binomial(k, n) * p**n * (d - p) ** (k - n), d**k, as_float)
+
+
+def _weight(k: int, n: int, p: int, d: int) -> int:
+    """``2d * per_step_accuracy(k, n, p/d)``, an integer."""
+    if 2 * n < k:
+        return 2 * (d - p)
+    if 2 * n == k:
+        return d
+    return 2 * p
 
 
 def per_step_accuracy(k: int, n: int, theta: Theta) -> Theta:
@@ -155,12 +149,8 @@ def per_step_accuracy(k: int, n: int, theta: Theta) -> Theta:
     """
     if k < 0 or not 0 <= n <= k:
         raise ValueError(f"invalid count statistic n={n}, k={k}")
-    theta = _checked(theta)
-    if 2 * n < k:
-        return 1 - theta
-    if 2 * n == k:
-        return 0.5 if isinstance(theta, float) else HALF
-    return theta
+    p, d, as_float = _ratio(theta)
+    return _number(_weight(k, n, p, d), 2 * d, as_float)
 
 
 def h_function(a: int, theta: Theta) -> Theta:
@@ -168,46 +158,34 @@ def h_function(a: int, theta: Theta) -> Theta:
 
     Computed as C(2a, a) * (theta(1-theta))^a * (1-2 theta)^2 / 2, which
     equals C(2a, a) * (x^a / 2 - 2 x^(a+1)) for x = theta(1-theta) since
-    (1-2 theta)^2 = 1 - 4x, and is manifestly non-negative.
+    (1-2 theta)^2 = 1 - 4x, and is manifestly non-negative.  On theta = p/d
+    that is C(2a, a) (p(d-p))^a (d-2p)^2 / (2 d^(2a+2)).
     """
     if a < 0:
         raise ValueError(f"h_function requires a >= 0, got a={a}")
-    theta = _checked(theta)
-    return _central(a, theta * (1 - theta)) * (1 - 2 * theta) ** 2 / 2
+    p, d, as_float = _ratio(theta)
+    num = binomial(2 * a, a) * (p * (d - p)) ** a * (d - 2 * p) ** 2
+    return _number(num, 2 * d ** (2 * a + 2), as_float)
 
 
 def accuracy_direct(k: int, theta: Theta) -> Theta:
-    """pi_k by direct summation of per-count correctness terms."""
+    """pi_k by direct summation of per-count correctness terms.
+
+    On theta = p/d, q = d - p: 2 d^(k+1) pi_k = sum_n w_n C(k, n) p^n q^(k-n)
+    with w_n from ``_weight``.  Each binomial term is the previous one
+    times (k-n) p, divided exactly by (n+1) q.
+    """
     if k < 0:
         raise ValueError(f"trial count must be >= 0, got {k}")
-    theta = _checked(theta)
-    if isinstance(theta, float):
-        pmf = _float_pmf_row(k, theta)
-    else:
-        pmf = [bin_pmf(n, k, theta) for n in range(k + 1)]
-    return sum(per_step_accuracy(k, n, theta) * pmf[n] for n in range(k + 1))
-
-
-def _float_pmf_row(k: int, theta: float) -> list[float]:
-    """bin_pmf(n, k, theta) for n = 0..k, in O(k) float operations.
-
-    The terms are built by their ratio recurrences out from the mode,
-    which gets the unnormalised value 1; the terms fall away from it, so
-    none can overflow, and dividing by their sum normalises the row.
-    """
-    row = [0.0] * (k + 1)
-    if theta in (0.0, 1.0):
-        row[0 if theta == 0.0 else k] = 1.0
-        return row
-    odds = theta / (1 - theta)
-    mode = min(k, int((k + 1) * theta))
-    row[mode] = 1.0
-    for n in range(mode, k):
-        row[n + 1] = row[n] * odds * (k - n) / (n + 1)
-    for n in range(mode, 0, -1):
-        row[n - 1] = row[n] / odds * n / (k - n + 1)
-    total = fsum(row)
-    return [v / total for v in row]
+    p, d, as_float = _ratio(theta)
+    # the sum is the same at theta and 1 - theta; taking p <= q keeps q > 0
+    p = min(p, d - p)
+    q = d - p
+    term, total = q**k, 0
+    for n in range(k + 1):
+        total += _weight(k, n, p, d) * term
+        term = term * ((k - n) * p) // ((n + 1) * q)
+    return _number(total, 2 * d ** (k + 1), as_float)
 
 
 def _t_next_row(row: list, k: int, weights: tuple) -> list:
@@ -277,77 +255,67 @@ def accuracy_recursive(k: int, theta: Theta) -> Theta:
     """pi_k as 1/2 plus the accumulated plateau increments."""
     if k < 0:
         raise ValueError(f"trial count must be >= 0, got {k}")
-    theta = _checked(theta)
-    as_float = isinstance(theta, float)
+    p, d, as_float = _ratio(theta)
     if k == 0:
-        return 0.5 if as_float else HALF
+        return _number(1, 2, as_float)
     a = _plateau_index(k)
-    if as_float:
-        lift = (1 - 2 * theta) ** 2
-        terms = islice(_central_floats(theta * (1 - theta)), a + 1)
-        return 0.5 + sum(c * lift / 2 for c in terms)
-    p, d = theta.as_integer_ratio()
-    return Fraction(next(islice(_plateau_numerators(p, d), a, None)), 2 * d ** (2 * a + 2))
+    s = next(islice(_plateau_numerators(p, d), a, None))
+    return _number(s, 2 * d ** (2 * a + 2), as_float)
 
 
 def accuracy_condensed(k: int, theta: Theta) -> Theta:
-    """pi_k in Catalan-series closed form (defined for k >= 1)."""
+    """pi_k in Catalan-series closed form (defined for k >= 1).
+
+    pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1), x = theta(1-theta).
+    The tail is an integer kernel on theta = p/d; the Catalan partial sum
+    runs in floats for a float theta, since summed exactly on the dyadic
+    value it takes ~1 s at k = 1100, against ~0.2 ms in floats.
+    """
     if k < 1:
         raise ValueError(f"condensed form requires k >= 1, got {k}")
-    theta = _checked(theta)
+    p, d, as_float = _ratio(theta)
     a = _plateau_index(k)
-    x = theta * (1 - theta)
-    return 1 - catalan_series(x, a) - 2 * _central(a, x) * x
+    pq, d2 = p * (d - p), d * d
+    tail = _number(2 * binomial(2 * a, a) * pq ** (a + 1), d2 ** (a + 1), as_float)
+    return 1 - catalan_series(_number(pq, d2, as_float), a) - tail
 
 
 @dataclass(frozen=True)
 class PiPolynomial:
-    """Integer coefficients of pi_(2a+1) = pi_(2a+2) in the power basis.
-
-    Layout: constant term, coefficient of theta, then ``tail[i]`` holding
-    the coefficient of theta^(a+1+i).  For a >= 1 the powers between
-    theta^1 and theta^(a+1) all vanish.
-    """
+    """Integer coefficients of pi_(2a+1) = pi_(2a+2) in the power basis,
+    constant term first, degree 2a+2."""
 
     a: int
-    constant: int
-    linear: int
-    tail: tuple[int, ...]
+    dense: tuple[int, ...]
 
     def coefficients(self) -> tuple[int, ...]:
         """Dense coefficient vector, degree 2a+2, constant term first."""
-        dense = [0] * (2 * self.a + 3)
-        dense[0] = self.constant
-        dense[1] += self.linear
-        start = len(dense) - len(self.tail)  # tail always ends at theta^(2a+2)
-        for i, c in enumerate(self.tail):
-            dense[start + i] += c
-        return tuple(dense)
+        return self.dense
 
     def evaluate(self, theta: Theta) -> Theta:
-        """Evaluate by Horner's rule in exact arithmetic.
+        """Evaluate at theta = p/d by homogeneous Horner on integers.
 
-        Float inputs are exact dyadic rationals, so the alternating
-        large coefficients cancel without rounding; the single rounding
-        happens on the way back to float.
+        The numerator sum_i c_i p^i d^(m-i) is exact, so the alternating
+        large coefficients cancel without rounding; it is divided by d^m
+        once, at the end.
         """
-        theta = _checked(theta)
-        exact = Fraction(theta) if isinstance(theta, float) else theta
-        acc = Fraction(0)
-        for c in reversed(self.coefficients()):
-            acc = acc * exact + c
-        return float(acc) if isinstance(theta, float) else acc
+        p, d, as_float = _ratio(theta)
+        top, *rest = reversed(self.dense)
+        num, scale = top, 1
+        for c in rest:
+            scale *= d
+            num = num * p + c * scale
+        return _number(num, scale, as_float)
 
 
 def pi_polynomial(a: int) -> PiPolynomial:
-    """Expanded accuracy polynomial for plateau index a."""
+    """Expanded accuracy polynomial 1 - theta - sum_t alpha(a, t) theta^(a+t)."""
     if a < 0:
         raise ValueError(f"plateau index must be >= 0, got {a}")
-    row = alpha_row(a)
-    if a == 0:
-        # the single alpha power theta^1 folds into the linear term
-        return PiPolynomial(a=0, constant=1, linear=-1 - row[0], tail=(-row[1],))
-    return PiPolynomial(a=a, constant=1, linear=-1, tail=tuple(-c for c in row))
+    dense = [1, -1] + [0] * (2 * a + 1)
+    for t, alpha in enumerate(alpha_row(a), start=a + 1):
+        dense[t] -= alpha
+    return PiPolynomial(a=a, dense=tuple(dense))
 
 
 def accuracy_expanded(k: int, theta: Theta) -> Theta:
@@ -380,19 +348,14 @@ def accuracy_curve(theta: Theta, k_max: int) -> list[CurvePoint]:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    theta = _checked(theta)
-    as_float = isinstance(theta, float)
-    p, d = theta.as_integer_ratio()
+    p, d, as_float = _ratio(theta)
     top = max(p, d - p)  # ideal = top / d
-    ideal = top / d if as_float else Fraction(top, d)
+    ideal = _number(top, d, as_float)
     scale, ideal_scaled = 2 * d * d, 2 * top * d  # 2 d^(2a+2), and ideal times it
     points = []
     for k, s in zip(range(1, k_max + 1, 2), _plateau_numerators(p, d)):
-        if as_float:
-            pi, gap = s / scale, (ideal_scaled - s) / scale
-        else:
-            pi = Fraction(s, scale)
-            gap = ideal - pi
+        pi = _number(s, scale, as_float)
+        gap = (ideal_scaled - s) / scale if as_float else ideal - pi
         points.append(CurvePoint(k, pi, ideal, gap))
         if k < k_max:
             points.append(CurvePoint(k + 1, pi, ideal, gap))

@@ -199,20 +199,18 @@ def cmd_simulate(args):
     )
     report = simulate_accuracy(config, frequent_outcome_array(args.k_max))
     header = ["k", "hits", "trials", "estimate", "stderr"]
+    rows = [[step.k, step.hits, step.trials, step.estimate, step.stderr] for step in report.steps]
     if fixed_theta is not None:
         header += ["analytic_pi", "z"]
-    rows = []
-    for step in report.steps:
-        row = [step.k, step.hits, step.trials, step.estimate, step.stderr]
-        if fixed_theta is not None:
-            analytic = acc.accuracy_recursive(step.k, fixed_theta)
+        # pi_0 = 1/2, then pi_1, pi_2, ... from one pass over the plateaus
+        curve = acc.accuracy_curve(fixed_theta, args.k_max)
+        for step, row, analytic in zip(report.steps, rows, [0.5] + [p.accuracy for p in curve]):
             diff = step.estimate - analytic
             if step.stderr > 0:
                 z = diff / step.stderr
             else:
                 z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
             row += [analytic, z]
-        rows.append(row)
     return header, rows, 0
 
 

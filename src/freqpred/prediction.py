@@ -238,8 +238,10 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
     """Bayes-optimal array: back whichever outcome the posterior favours.
 
     Entry (k, n) is 1 when the posterior mean exceeds 1/2, 0 when below,
-    and 1/2 at an exact tie.  For symmetric non-degenerate priors this
-    reproduces :func:`frequent_outcome_array` entry for entry.
+    and 1/2 at an exact tie.  A count the prior gives zero probability
+    also gets 1/2: it is never observed, and on it every action scores
+    the same.  For symmetric non-degenerate priors this reproduces
+    :func:`frequent_outcome_array` entry for entry.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -247,7 +249,10 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
     for k in range(k_max + 1):
         row = []
         for n in range(k + 1):
-            mean = posterior_mean(prior, CountStatistic(k, n))
+            try:
+                mean = posterior_mean(prior, CountStatistic(k, n))
+            except ImpossibleEvidenceError:
+                mean = HALF
             if _tie(mean):
                 row.append(HALF)
             elif mean > HALF:

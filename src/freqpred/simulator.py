@@ -104,9 +104,6 @@ class StepAccuracy:
 class SimulationReport:
     steps: tuple[StepAccuracy, ...]
 
-    def estimates(self) -> list[float]:
-        return [s.estimate for s in self.steps]
-
 
 def _draw_thetas(source: ThetaSource, seed: int, reps: np.ndarray) -> np.ndarray:
     if not isinstance(source, Prior):
@@ -186,13 +183,16 @@ def simulate_covariance(
 ) -> CovarianceEstimate:
     """Sample cov(x_i, x_j) across replications that redraw theta each time.
 
-    Each replication draws theta from the prior, then the two indicators
-    independently given theta.  The estimate converges to the variance of
-    theta under the prior; the reported standard error is the plug-in
-    error of the mean cross-deviation term.
+    Each replication draws theta from the prior, then trials i and j
+    independently given theta, read from outcome slots i and j of the
+    layout in the module docstring (trial i >= 1 is slot i).  The estimate
+    converges to the variance of theta under the prior; the reported
+    standard error is the plug-in error of the mean cross-deviation term.
     """
     if i == j:
         raise ValueError("covariance requires two distinct trial indices")
+    if i < 1 or j < 1:
+        raise ValueError(f"trial indices start at 1 (slot 0 draws theta), got i={i}, j={j}")
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
     if not 0 <= seed < 2**64:
@@ -201,8 +201,8 @@ def simulate_covariance(
     for start in range(0, replications, chunk_size):
         reps = np.arange(start, min(start + chunk_size, replications), dtype=np.uint64)
         thetas = _draw_thetas(prior, seed, reps)
-        x = _uniforms(seed, reps, 1) < thetas
-        y = _uniforms(seed, reps, 2) < thetas
+        x = _uniforms(seed, reps, i) < thetas
+        y = _uniforms(seed, reps, j) < thetas
         sum_x += int(np.count_nonzero(x))
         sum_y += int(np.count_nonzero(y))
         sum_xy += int(np.count_nonzero(x & y))

@@ -364,3 +364,34 @@ class TestLargeKFloat:
         exact = Fraction(theta)
         assert h_function(600, theta) == pytest.approx(float(h_function(600, exact)), rel=1e-12)
         assert bin_pmf(550, 1100, theta) == float(bin_pmf(550, 1100, exact))
+
+
+ROUNDING_THETAS = [0.0, 0.001, 0.3, 0.45, 0.4731, 0.499, 0.5, 1.0]
+
+
+class TestFloatRounding:
+    """A float result is the exact answer at the float's dyadic value,
+    rounded once: bit for bit ``float(route(k, Fraction(theta)))``."""
+
+    @pytest.mark.parametrize("theta", ROUNDING_THETAS)
+    def test_routes_round_the_exact_dyadic_value(self, theta):
+        exact = Fraction(theta)
+        for k in range(61):
+            for route in (accuracy_direct, accuracy_recursive, accuracy_expanded):
+                if route is accuracy_expanded and k == 0:
+                    continue
+                assert route(k, theta) == float(route(k, exact)), (route.__name__, k)
+        for a in range(31):
+            assert h_function(a, theta) == float(h_function(a, exact)), a
+        for k in range(61):
+            for n in range(k + 1):
+                assert bin_pmf(n, k, theta) == float(bin_pmf(n, k, exact)), (n, k)
+
+    def test_large_k(self):
+        theta, k = 0.45, 1100
+        exact = Fraction(theta)
+        for route in (accuracy_direct, accuracy_recursive, accuracy_expanded):
+            assert route(k, theta) == float(route(k, exact)), route.__name__
+        assert h_function(549, theta) == float(h_function(549, exact))
+        for n in (0, 1, 495, 550, 1099, 1100):
+            assert bin_pmf(n, k, theta) == float(bin_pmf(n, k, exact)), n

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from freqpred import cli
+from freqpred.accuracy import accuracy_curve
 
 
 def run(capsys, argv):
@@ -176,6 +177,20 @@ class TestPosterior:
         code, _, err = run(capsys, ["posterior", "gamma:1,1", "2", "1"])
         assert code == 1 and "prior" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["discrete:1=1", "3", "3"], ["discrete:0=1/2,1=1/2", "4", "4"]]
+    )
+    def test_prior_atom_at_an_end(self, capsys, argv):
+        code, out, _ = run(capsys, ["posterior", *argv])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert rows[0][3:] == ["1", "1", "1"]
+
+    def test_impossible_count(self, capsys):
+        code, out, err = run(capsys, ["posterior", "discrete:1=1", "3", "2"])
+        assert code == 1 and out == ""
+        assert "zero probability" in err
+
     def test_bad_count(self, capsys):
         code, _, err = run(capsys, ["posterior", "beta:1,1", "2", "5"])
         assert code == 1
@@ -212,6 +227,15 @@ class TestSimulate:
         _, rows = parse_csv(out)
         assert code == 0
         assert [r[6] for r in rows[1:]] == ["inf", "inf"]
+
+    def test_analytic_column_is_the_rounded_curve(self, capsys):
+        argv = ["simulate", "0.4731", "71", "100", "--seed", "1", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        curve = accuracy_curve(0.4731, 70)
+        assert code == 0
+        assert [row["analytic_pi"] for row in json.loads(out)] == [0.5] + [
+            point.accuracy for point in curve
+        ]
 
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, ["simulate", "2/5", "6", "2000", "--seed", "3"])

@@ -216,6 +216,10 @@ class TestOptimalArray:
         array = optimal_array(discrete_prior([(HALF, Fraction(1))]), 4)
         assert all(phi == HALF for row in array.rows for phi in row)
 
+    def test_impossible_counts_get_half(self):
+        prior = discrete_prior([(0, HALF), (1, HALF)])
+        assert optimal_array(prior, 2).rows == ((HALF,), (0, 1), (0, HALF, 1))
+
     def test_argmax_tracks_majority_sign(self):
         # mechanism check: posterior mean sits on the same side of 1/2 as n of k/2
         for prior in self.symmetric_battery[:4]:

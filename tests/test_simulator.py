@@ -176,6 +176,19 @@ class TestCovariance:
             result = simulate_covariance(prior, 1, 2, 50_000, 40 + index)
             assert result.estimate >= -3 * max(result.stderr, 1e-12)
 
+    def test_reads_the_requested_trials(self):
+        prior = beta_prior(1, 1)
+        first_two = simulate_covariance(prior, 1, 2, 10_000, 7)
+        assert simulate_covariance(prior, 1, 3, 10_000, 7) != first_two
+        swapped = simulate_covariance(prior, 2, 1, 10_000, 7)
+        # the same draws; only the float summation order differs
+        assert swapped.estimate == pytest.approx(first_two.estimate, rel=1e-12)
+        assert swapped.stderr == pytest.approx(first_two.stderr, rel=1e-12)
+
+    def test_rejects_the_theta_slot(self):
+        with pytest.raises(ValueError):
+            simulate_covariance(beta_prior(1, 1), 0, 1, 1000, 1)
+
     def test_deterministic(self):
         first = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7)
         second = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7, chunk_size=333)
