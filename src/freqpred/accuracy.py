@@ -21,9 +21,11 @@ and expanded routes, the curve and the threshold search each run one
 integer kernel on p and d and divide once (``_number``): a float result is
 the correctly rounded exact answer at the float's dyadic value, the same
 bits as ``float(route(k, Fraction(theta)))``, and cannot overflow at large
-k.  For a float theta the t-table and the Catalan partial sum of the
-condensed route run in floats, because their exact forms grow too fast;
-they stay within 1e-12 of the exact value.
+k.  On exact theta the condensed route's Catalan partial sum is the
+integer kernel of ``combinatorics.catalan_series`` (Horner on x = u/v, one
+division by v^a).  For a float theta the t-table and that Catalan partial
+sum run in floats, because their exact forms grow too fast; they stay
+within 1e-12 of the exact value.
 
 The plateau increments are summed as integers, with no gcd per term.
 ``_plateau_numerators`` yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
@@ -267,9 +269,11 @@ def accuracy_condensed(k: int, theta: Theta) -> Theta:
     """pi_k in Catalan-series closed form (defined for k >= 1).
 
     pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1), x = theta(1-theta).
-    The tail is an integer kernel on theta = p/d; the Catalan partial sum
-    runs in floats for a float theta, since summed exactly on the dyadic
-    value it takes ~1 s at k = 1100, against ~0.2 ms in floats.
+    The tail is an integer kernel on theta = p/d.  The Catalan partial sum
+    is ``catalan_series``' integer kernel on exact x = pq/d^2 (~1 ms at
+    k = 1100 on 9/20), and runs in floats for a float theta, since summed
+    exactly on the dyadic value it takes ~13 ms at k = 1100, against
+    ~0.7 ms for the whole route in floats.
     """
     if k < 1:
         raise ValueError(f"condensed form requires k >= 1, got {k}")

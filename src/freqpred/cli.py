@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -222,7 +223,11 @@ def significant_digits(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``freqpred`` parser, built once per process: building it (six
+    subparsers) costs more than most queries, and ``parse_args`` reads it
+    without changing it, starting each call from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="freqpred",
         description="Exact accuracy analysis of most-frequent-outcome prediction "

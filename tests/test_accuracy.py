@@ -336,6 +336,11 @@ class TestIntegerKernels:
                 assert [Fraction(v, 2 * d ** (2 * k)) for v in scaled] == row
                 row = _t_next_row(row, k, weights)
 
+    @pytest.mark.parametrize("theta", [Fraction(9, 20), Fraction(431, 997)])
+    def test_condensed_matches_recursive_past_the_sweep(self, theta):
+        for k in (599, 600, 1100):
+            assert accuracy_condensed(k, theta) == accuracy_recursive(k, theta), k
+
     @pytest.mark.parametrize("theta", [0.45, 0.499])
     def test_float_curve_bits_match_exact_dyadic_sum(self, theta):
         exact = Fraction(theta)

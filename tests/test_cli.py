@@ -291,6 +291,37 @@ class TestOutputHandling:
         assert {"k", "hits", "trials", "estimate", "stderr", "analytic_pi", "z"} == set(payload[0])
 
 
+class TestParserReuse:
+    SEQUENCE = (
+        ["accuracy"],
+        ["accuracy", "5", "9/20", "--digits", "0"],
+        ["simulate", "0.45", "5", "100", "--seed", "5"],
+        ["simulate", "0.45", "5", "100"],
+    )
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [("exit", 2), ("exit", 2), 0, 0]
+        # no option value leaks from one call into the next: the default seed is 0
+        seed_zero = self.outcome(capsys, ["simulate", "0.45", "5", "100", "--seed", "0"])
+        assert reused[3] == seed_zero != reused[2]
+
+
 def test_only_simulate_loads_numpy():
     script = """
 import sys

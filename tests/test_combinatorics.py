@@ -187,3 +187,15 @@ class TestCatalanSeries:
 
     def test_empty_sum(self):
         assert catalan_series(Fraction(1, 5), 0) == 0
+
+    @pytest.mark.parametrize(
+        "x", [0, Fraction(1, 100), Fraction(21, 100), Fraction(2, 9), Fraction(1, 4)]
+    )
+    def test_exact_input_stays_exact(self, x):
+        # reference: Fraction terms by the ratio C_i / C_(i-1) = 2(2i-1)/(i+1)
+        reference, term = Fraction(0), Fraction(x)
+        for terms in range(61):
+            value = catalan_series(x, terms)
+            assert isinstance(value, Fraction) and value == reference, terms
+            reference += term
+            term *= x * Fraction(2 * (2 * terms + 1), terms + 2)
