@@ -15,17 +15,44 @@ from freqpred.prediction import (
     frequent_outcome_array,
     prior_covariance,
 )
+from freqpred import cli
 from freqpred.simulator import (
+    DEFAULT_CHUNK,
     SimulationConfig,
     simulate_accuracy,
     simulate_covariance,
 )
 
 HALF = Fraction(1, 2)
+# rounds to 0.0 as a float, so 1 - TINY rounds to 1.0
+TINY = Fraction(1, 10**400)
 
 
 def all_ones_array(k_max: int) -> PredictionArray:
     return PredictionArray(tuple(tuple(Fraction(1) for _ in range(k + 1)) for k in range(k_max + 1)))
+
+
+def laplace_array(k_max: int) -> PredictionArray:
+    """Laplace's rule of succession (n+1)/(k+2): every entry is fractional."""
+    return PredictionArray(
+        tuple(tuple(Fraction(n + 1, k + 2) for n in range(k + 1)) for k in range(k_max + 1))
+    )
+
+
+def mixed_array(k_max: int) -> PredictionArray:
+    """0 in the lower third, 1 in the upper third, (n+1)/(k+2) between;
+    one entry per side is a Fraction that rounds to 0.0 or 1.0."""
+
+    def entry(k: int, n: int) -> Fraction:
+        if 3 * n < k:
+            return TINY if n == 1 else Fraction(0)
+        if 3 * n > 2 * k:
+            return 1 - TINY if n == k - 1 else Fraction(1)
+        return Fraction(n + 1, k + 2)
+
+    return PredictionArray(
+        tuple(tuple(entry(k, n) for n in range(k + 1)) for k in range(k_max + 1))
+    )
 
 
 class TestConfigValidation:
@@ -193,3 +220,73 @@ class TestCovariance:
         first = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7)
         second = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7, chunk_size=333)
         assert first == second
+
+
+GOLDEN_SOURCES = {
+    "fixed_float": 0.4731,
+    "fixed_exact": Fraction(9, 20),
+    "beta": beta_prior(2, 3),
+    "discrete": discrete_prior(
+        [(Fraction(1, 5), Fraction(1, 4)), (HALF, HALF), (Fraction(4, 5), Fraction(1, 4))]
+    ),
+}
+GOLDEN_ARRAYS = {
+    "frequent": frequent_outcome_array(10),
+    "laplace": laplace_array(10),
+    "mixed": mixed_array(10),
+}
+# hits per step, horizon 10, 70,000 replications, seed 880001
+GOLDEN_HITS = {
+    ("fixed_float", "frequent"): (34774, 35114, 34904, 35125, 35277, 35150, 35259, 35079, 35077, 35070),
+    ("fixed_float", "laplace"): (34774, 34951, 34829, 35060, 35051, 35180, 35154, 35061, 35087, 35162),
+    ("fixed_float", "mixed"): (34774, 35114, 34904, 35000, 35277, 35116, 35154, 35116, 35181, 35220),
+    ("fixed_exact", "frequent"): (34843, 35431, 35180, 35509, 35527, 35660, 35591, 35730, 35643, 35682),
+    ("fixed_exact", "laplace"): (34843, 35017, 34941, 35209, 35161, 35411, 35320, 35166, 35304, 35407),
+    ("fixed_exact", "mixed"): (34843, 35431, 35180, 35202, 35527, 35481, 35417, 35495, 35513, 35581),
+    ("beta", "frequent"): (35056, 42054, 41634, 44084, 43936, 44908, 44872, 45433, 45592, 45918),
+    ("beta", "laplace"): (35056, 37450, 38139, 39238, 39681, 39968, 40227, 40196, 40460, 40715),
+    ("beta", "mixed"): (35056, 42054, 41634, 41535, 43936, 43434, 43005, 44463, 44117, 43870),
+    ("discrete", "frequent"): (35072, 41370, 41209, 43354, 43380, 44158, 44127, 44711, 44817, 45071),
+    ("discrete", "laplace"): (35072, 37198, 37964, 38745, 39269, 39530, 39691, 39734, 39953, 40388),
+    ("discrete", "mixed"): (35072, 41370, 41209, 40847, 43380, 42796, 42434, 43793, 43590, 43522),
+}
+
+GOLDEN_FIXED_STDOUT = """\
+k,hits,trials,estimate,stderr,analytic_pi,z
+0,2479,5000,0.4958,0.00707081834,0.5,-0.5939906526
+1,2478,5000,0.4956,0.007070794015,0.50144722,-0.8269538029
+2,2496,5000,0.4992,0.007071058761,0.50144722,-0.317805307
+3,2458,5000,0.4916,0.007070069872,0.5021687356,-1.494855885
+4,2478,5000,0.4956,0.007070794015,0.5021687356,-0.9289954623
+5,2458,5000,0.4916,0.007070069872,0.5027083059,-1.57117343
+"""
+
+GOLDEN_PRIOR_STDOUT = """\
+k,hits,trials,estimate,stderr
+0,2475,5000,0.495,0.00707071425
+1,3005,5000,0.601,0.006925301437
+2,2973,5000,0.5946,0.006943354233
+3,3158,5000,0.6316,0.006821751095
+4,3173,5000,0.6346,0.006810034361
+5,3228,5000,0.6456,0.006764623271
+"""
+
+
+class TestGolden:
+    """Literal reports for one seed: the slot layout in the simulator's
+    docstring is the contract, so any change to the draws shows here."""
+
+    @pytest.mark.parametrize("chunk_size", [DEFAULT_CHUNK, 12_347, 1 << 18])
+    @pytest.mark.parametrize("source, array", sorted(GOLDEN_HITS))
+    def test_hits(self, source, array, chunk_size):
+        config = SimulationConfig(GOLDEN_SOURCES[source], 10, 70_000, 880_001)
+        report = simulate_accuracy(config, GOLDEN_ARRAYS[array], chunk_size=chunk_size)
+        assert tuple(step.hits for step in report.steps) == GOLDEN_HITS[source, array]
+
+    @pytest.mark.parametrize(
+        "theta_or_prior, expected",
+        [("0.4731", GOLDEN_FIXED_STDOUT), ("beta:2,3", GOLDEN_PRIOR_STDOUT)],
+    )
+    def test_cli_stdout(self, capsys, theta_or_prior, expected):
+        assert cli.main(["simulate", theta_or_prior, "6", "5000", "--seed", "880001"]) == 0
+        assert capsys.readouterr().out == expected
