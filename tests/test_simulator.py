@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from freqpred import cli
 from freqpred.accuracy import accuracy_recursive
 from freqpred.prediction import (
     PredictionArray,
@@ -15,7 +16,6 @@ from freqpred.prediction import (
     frequent_outcome_array,
     prior_covariance,
 )
-from freqpred import cli
 from freqpred.simulator import (
     DEFAULT_CHUNK,
     SimulationConfig,
@@ -76,6 +76,12 @@ class TestConfigValidation:
         config = SimulationConfig(theta_source=0.5, horizon=6, replications=10, seed=1)
         with pytest.raises(ValueError):
             simulate_accuracy(config, frequent_outcome_array(3))
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_bad_chunk_size(self, chunk_size):
+        config = SimulationConfig(theta_source=0.5, horizon=6, replications=10, seed=1)
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            simulate_accuracy(config, frequent_outcome_array(6), chunk_size=chunk_size)
 
 
 class TestDeterminism:
@@ -215,6 +221,11 @@ class TestCovariance:
     def test_rejects_the_theta_slot(self):
         with pytest.raises(ValueError):
             simulate_covariance(beta_prior(1, 1), 0, 1, 1000, 1)
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_rejects_chunk_size_below_one(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7, chunk_size=chunk_size)
 
     def test_deterministic(self):
         first = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7)
