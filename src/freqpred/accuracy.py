@@ -47,7 +47,6 @@ these kernels after:
 from __future__ import annotations
 
 from fractions import Fraction
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
@@ -284,8 +283,7 @@ def accuracy_condensed(k: int, theta: Theta) -> Theta:
     return 1 - catalan_series(_number(pq, d2, as_float), a) - tail
 
 
-@dataclass(frozen=True)
-class PiPolynomial:
+class PiPolynomial(NamedTuple):
     """Integer coefficients of pi_(2a+1) = pi_(2a+2) in the power basis,
     constant term first, degree 2a+2."""
 

@@ -14,10 +14,10 @@ which is exactly the invariant the rest of the code relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
+from typing import NamedTuple
 
 __all__ = [
     "CoefficientTable",
@@ -108,21 +108,29 @@ def alpha_coefficient(a: int, t: int) -> int:
     return alpha_row(a)[t - 1]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Rows of expanded-polynomial coefficients, keyed by plateau index a."""
-
+class _CoefficientTable(NamedTuple):
     rows: dict[int, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        for a, row in self.rows.items():
+
+class CoefficientTable(_CoefficientTable):
+    """Rows of expanded-polynomial coefficients, keyed by plateau index a."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: dict[int, tuple[int, ...]]) -> CoefficientTable:
+        for a, row in rows.items():
             if len(row) != a + 2:
                 raise ValueError(f"row {a} must have {a + 2} entries, got {len(row)}")
             if sum(row) != -1:
                 raise ValueError(f"row {a} violates the row-sum identity: {sum(row)}")
+        return tuple.__new__(cls, (rows,))
 
     @classmethod
-    def up_to(cls, a_max: int) -> "CoefficientTable":
+    def _make(cls, iterable) -> CoefficientTable:
+        return cls(*iterable)  # so _replace checks too
+
+    @classmethod
+    def up_to(cls, a_max: int) -> CoefficientTable:
         """Build (and cache, via alpha_row) all rows for a = 0..a_max."""
         if a_max < 0:
             raise ValueError(f"a_max must be >= 0, got {a_max}")

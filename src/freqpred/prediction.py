@@ -10,9 +10,8 @@ or discrete priors on that probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .accuracy import Theta, bin_pmf
 
@@ -50,39 +49,52 @@ def _check_probability(value, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class CountStatistic:
-    """Sufficient statistic for the binomial model: k trials, n ones."""
-
+class _CountStatistic(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.k < 0 or not 0 <= self.n <= self.k:
-            raise ValueError(f"need 0 <= n <= k, got n={self.n}, k={self.k}")
+
+class CountStatistic(_CountStatistic):
+    """Sufficient statistic for the binomial model: k trials, n ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> CountStatistic:
+        if k < 0 or not 0 <= n <= k:
+            raise ValueError(f"need 0 <= n <= k, got n={n}, k={k}")
+        return tuple.__new__(cls, (k, n))
+
+    @classmethod
+    def _make(cls, iterable) -> CountStatistic:
+        return cls(*iterable)  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class PredictionArray:
-    """Triangular array of predict-one probabilities, row k has k+1 entries."""
-
+class _PredictionArray(NamedTuple):
     rows: tuple[tuple[Weight, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+
+class PredictionArray(_PredictionArray):
+    """Triangular array of predict-one probabilities, row k has k+1 entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[Weight, ...], ...]) -> PredictionArray:
+        rows = tuple(tuple(row) for row in rows)
         for k, row in enumerate(rows):
             if len(row) != k + 1:
                 raise ValueError(f"row {k} must have {k + 1} entries, got {len(row)}")
             for phi in row:
                 _check_probability(phi, f"entry in row {k}")
+        return tuple.__new__(cls, (rows,))
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[Weight, ...], ...]) -> "PredictionArray":
+    def _make(cls, iterable) -> PredictionArray:
+        return cls(*iterable)  # so _replace checks too
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Weight, ...], ...]) -> PredictionArray:
         """Wrap rows that are valid by construction, skipping the entry checks."""
-        array = object.__new__(cls)
-        object.__setattr__(array, "rows", rows)
-        return array
+        return tuple.__new__(cls, (rows,))
 
     @property
     def k_max(self) -> int:
@@ -120,44 +132,56 @@ def conditional_accuracy(phi: Weight, theta: Theta) -> Weight:
     return (1 - theta) * (1 - phi) + theta * phi
 
 
-@dataclass(frozen=True)
-class Prior:
+class _Prior(NamedTuple):
+    kind: str
+    alpha: Weight | None
+    beta: Weight | None
+    atoms: tuple[tuple[Theta, Weight], ...] | None
+
+
+class Prior(_Prior):
     """Distribution of the long-run success proportion.
 
     Either a beta(alpha, beta) density or a finite set of weighted atoms.
     Use :func:`beta_prior` / :func:`discrete_prior` to construct.
     """
 
-    kind: str
-    alpha: Weight | None = None
-    beta: Weight | None = None
-    atoms: tuple[tuple[Theta, Weight], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == "beta":
-            if self.alpha is None or self.beta is None or self.atoms is not None:
+    def __new__(
+        cls,
+        kind: str,
+        alpha: Weight | None = None,
+        beta: Weight | None = None,
+        atoms: tuple[tuple[Theta, Weight], ...] | None = None,
+    ) -> Prior:
+        if kind == "beta":
+            if alpha is None or beta is None or atoms is not None:
                 raise ValueError("beta prior takes alpha and beta only")
-            if not (self.alpha > 0 and self.beta > 0):
-                raise ValueError(
-                    f"beta parameters must be positive, got ({self.alpha}, {self.beta})"
-                )
-        elif self.kind == "discrete":
-            if self.atoms is None or self.alpha is not None or self.beta is not None:
+            if not (alpha > 0 and beta > 0):
+                raise ValueError(f"beta parameters must be positive, got ({alpha}, {beta})")
+        elif kind == "discrete":
+            if atoms is None or alpha is not None or beta is not None:
                 raise ValueError("discrete prior takes atoms only")
-            if not self.atoms:
+            if not atoms:
                 raise ValueError("discrete prior needs at least one atom")
-            for value, weight in self.atoms:
+            for value, weight in atoms:
                 _check_probability(value, "atom location")
                 if weight < 0:
                     raise ValueError(f"atom weight must be >= 0, got {weight}")
-            total = sum(weight for _, weight in self.atoms)
+            total = sum(weight for _, weight in atoms)
             if isinstance(total, (int, Fraction)):
                 if total != 1:
                     raise ValueError(f"atom weights must sum to 1, got {total}")
             elif abs(total - 1.0) > 1e-12:
                 raise ValueError(f"atom weights must sum to 1, got {total}")
         else:
-            raise ValueError(f"unknown prior kind {self.kind!r}")
+            raise ValueError(f"unknown prior kind {kind!r}")
+        return tuple.__new__(cls, (kind, alpha, beta, atoms))
+
+    @classmethod
+    def _make(cls, iterable) -> Prior:
+        return cls(*iterable)  # so _replace checks too
 
     @property
     def is_symmetric(self) -> bool:

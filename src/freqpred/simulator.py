@@ -31,10 +31,9 @@ steps, 2^18-replication chunks ran ~1.7x slower on a 2-vCPU Xeon VM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -93,29 +92,38 @@ def _cutoffs(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """One simulation run: theta source, horizon, replication count, seed."""
-
+class _SimulationConfig(NamedTuple):
     theta_source: ThetaSource
     horizon: int
     replications: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0 <= self.seed < 2**64:
+
+class SimulationConfig(_SimulationConfig):
+    """One simulation run: theta source, horizon, replication count, seed."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, theta_source: ThetaSource, horizon: int, replications: int, seed: int
+    ) -> SimulationConfig:
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if replications < 1:
+            raise ValueError(f"replications must be >= 1, got {replications}")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not isinstance(self.theta_source, Prior):
-            if not 0 <= self.theta_source <= 1:
-                raise ValueError(f"theta must lie in [0, 1], got {self.theta_source}")
+        if not isinstance(theta_source, Prior):
+            if not 0 <= theta_source <= 1:
+                raise ValueError(f"theta must lie in [0, 1], got {theta_source}")
+        return tuple.__new__(cls, (theta_source, horizon, replications, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> SimulationConfig:
+        return cls(*iterable)  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class StepAccuracy:
+class StepAccuracy(NamedTuple):
     """Empirical accuracy of the prediction made after k observed trials."""
 
     k: int
@@ -125,8 +133,7 @@ class StepAccuracy:
     stderr: float
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     steps: tuple[StepAccuracy, ...]
 
 
@@ -214,8 +221,7 @@ def simulate_accuracy(
     return SimulationReport(tuple(steps))
 
 
-@dataclass(frozen=True)
-class CovarianceEstimate:
+class CovarianceEstimate(NamedTuple):
     """Sample covariance of two trial indicators, with its standard error."""
 
     estimate: float

@@ -325,13 +325,17 @@ class TestParserReuse:
 def test_only_simulate_loads_numpy():
     script = """
 import sys
+before = set(sys.modules)
 from freqpred import cli
 for argv in (["coeffs", "3"], ["accuracy", "9", "9/20"], ["curve", "0.45", "9"],
              ["threshold", "9/20", "0.53"], ["posterior", "beta:1,1", "4", "3"]):
     assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy loaded before simulate"
+heavy = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+assert not heavy, f"{sorted(heavy)} loaded before simulate"
 assert cli.main(["simulate", "0.45", "5", "100", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
+assert "scipy" not in set(sys.modules) - before, "scipy loaded for a fixed theta"
 """
     src = Path(cli.__file__).resolve().parents[1]
     result = subprocess.run(
