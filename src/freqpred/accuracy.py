@@ -16,16 +16,16 @@ Arithmetic convention: exact inputs (``int``, ``Fraction``) produce exact
 ``Fraction`` results; ``float`` inputs produce floats.  Every ``pi_k`` is
 a polynomial in theta with integer coefficients, so at ``theta = p/d`` it
 is an integer over a power of d, and a float theta is exactly such a p/d
-(its dyadic value).  ``bin_pmf``, ``h_function``, the direct, recursive
-and expanded routes, the curve and the threshold search each run one
-integer kernel on p and d and divide once (``_number``): a float result is
-the correctly rounded exact answer at the float's dyadic value, the same
-bits as ``float(route(k, Fraction(theta)))``, and cannot overflow at large
-k.  On exact theta the condensed route's Catalan partial sum is the
-integer kernel of ``combinatorics.catalan_series`` (Horner on x = u/v, one
-division by v^a).  For a float theta the t-table and that Catalan partial
-sum run in floats, because their exact forms grow too fast; they stay
-within 1e-12 of the exact value.
+(its dyadic value).  ``bin_pmf``, ``h_function``, the direct, recursive,
+condensed and expanded routes, the curve and the threshold search all
+evaluate exactly on p and d and round once: a float result is the
+correctly rounded exact answer at the float's dyadic value, the same bits
+as ``float(route(k, Fraction(theta)))``, and cannot overflow at large k.
+The condensed route's Catalan partial sum is the integer kernel of
+``combinatorics.catalan_series`` (Horner on x = u/v, one division by
+v^a) for every input type.  Only the t-table runs in floats for a float
+theta, because its exact form grows too fast; it stays within 1e-12 of
+the exact value.
 
 The plateau increments are summed as integers, with no gcd per term.
 ``_plateau_numerators`` yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
@@ -34,14 +34,7 @@ The plateau increments are summed as integers, with no gcd per term.
 
 and is the one plateau stream behind ``accuracy_recursive``,
 ``accuracy_curve`` and ``threshold_k``.  The exact t-table runs its dynamic
-program on integers, row k scaled by ``2 d^(2k)``.  Single runs on a
-2-vCPU VM (Python 3.11.7), the summed ``Fraction`` increments before and
-these kernels after:
-
-    threshold_k(49/100, 509/1000)     9.8 s  -> 0.06 s
-    threshold_k(0.49, 0.509)          267 s  -> 0.8 s
-    accuracy_curve(0.45, 2000)        9.2 s  -> 0.12 s (same bits)
-    accuracy_t_table(1000, 9/20)       32 s  -> 0.7 s
+program on integers, row k scaled by ``2 d^(2k)``.
 """
 
 from __future__ import annotations
@@ -267,20 +260,19 @@ def accuracy_recursive(k: int, theta: Theta) -> Theta:
 def accuracy_condensed(k: int, theta: Theta) -> Theta:
     """pi_k in Catalan-series closed form (defined for k >= 1).
 
-    pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1), x = theta(1-theta).
-    The tail is an integer kernel on theta = p/d.  The Catalan partial sum
-    is ``catalan_series``' integer kernel on exact x = pq/d^2 (~1 ms at
-    k = 1100 on 9/20), and runs in floats for a float theta, since summed
-    exactly on the dyadic value it takes ~13 ms at k = 1100, against
-    ~0.7 ms for the whole route in floats.
+    pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1), x = theta(1-theta),
+    evaluated exactly at x = p(d-p)/d^2 for theta = p/d: the Catalan
+    partial sum is ``catalan_series``' integer kernel.  A float theta gets
+    that exact value rounded once; only the t-table runs in floats.
     """
     if k < 1:
         raise ValueError(f"condensed form requires k >= 1, got {k}")
     p, d, as_float = _ratio(theta)
     a = _plateau_index(k)
     pq, d2 = p * (d - p), d * d
-    tail = _number(2 * binomial(2 * a, a) * pq ** (a + 1), d2 ** (a + 1), as_float)
-    return 1 - catalan_series(_number(pq, d2, as_float), a) - tail
+    tail = Fraction(2 * binomial(2 * a, a) * pq ** (a + 1), d2 ** (a + 1))
+    pi = 1 - catalan_series(Fraction(pq, d2), a) - tail
+    return float(pi) if as_float else pi
 
 
 class PiPolynomial(NamedTuple):

@@ -4,12 +4,14 @@ accuracy polynomials.
 
 The integer functions and every function given an exact (``int`` or
 ``fractions.Fraction``) argument return exact Python integers or
-``Fraction`` values and never round.  Two functions do round:
-``catalan_gf`` always returns a float, and ``catalan_series`` sums in
-floats when its argument is a float.  ``Fraction`` is the canonical
-carrier for exact probabilities throughout the package: it keeps
-gcd-reduced numerator/denominator pairs with a positive denominator,
-which is exactly the invariant the rest of the code relies on.
+``Fraction`` values and never round.  ``catalan_gf`` always returns a
+float.  ``catalan_series`` given a float sums exactly on its dyadic value
+and rounds once at the end, like every accuracy route but the t-table,
+the only one that runs in floats for a float theta.  ``Fraction`` is the
+canonical carrier for exact probabilities throughout the package: it
+keeps gcd-reduced numerator/denominator pairs with a positive
+denominator, which is exactly the invariant the rest of the code relies
+on.
 """
 
 from __future__ import annotations
@@ -150,26 +152,22 @@ def catalan_gf(z: float | Fraction | int) -> float:
 def catalan_series(x: float | Fraction | int, terms: int) -> float | Fraction:
     """Partial sum  sum_{i=1..n} C_{i-1} x^i  of the Catalan series, n = terms.
 
-    Exact input x = u/v (``int`` or ``Fraction``) runs one integer kernel:
-    the numerator sum_{i=1..n} C_{i-1} u^i v^(n-i) by Horner, each term
-    C_{i-1} u^i advanced by the exact ratio 2(2i-1) u / (i+1), and one
-    division by v^n at the end, so no gcd is taken per term and the result
-    is a ``Fraction``.  Float input runs the same ratio recurrence in
-    floats and never touches the (astronomically large) raw Catalan
-    integers.  For 0 <= x <= 1/4 the partial sums increase towards x G(x).
+    Every input runs one integer kernel on x = u/v (a float is its dyadic
+    value): the numerator sum_{i=1..n} C_{i-1} u^i v^(n-i) by Horner, each
+    term C_{i-1} u^i advanced by the exact ratio 2(2i-1) u / (i+1), and one
+    division by v^n at the end, so no gcd is taken per term.  Exact input
+    (``int`` or ``Fraction``) returns that quotient as a ``Fraction``; a
+    float returns it correctly rounded, the same bits as
+    ``float(catalan_series(Fraction(x), terms))``.  For 0 <= x <= 1/4 the
+    partial sums increase towards x G(x).
     """
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
-    if isinstance(x, float):
-        total = x - x  # 0.0, or nan for a non-finite x
-        term = x  # C_0 * x^1
-        for i in range(1, terms + 1):
-            total += term
-            term *= x * (2.0 * (2 * i - 1) / (i + 1))
-        return total
     u, v = x.as_integer_ratio()
     total, term = 0, u  # term = C_(i-1) u^i, starting at i = 1
     for i in range(1, terms + 1):
         total = total * v + term
         term = term * u * (2 * (2 * i - 1)) // (i + 1)
+    if isinstance(x, float):
+        return total / v**terms  # int / int rounds once, correctly
     return Fraction(total, v**terms)

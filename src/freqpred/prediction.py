@@ -10,6 +10,7 @@ or discrete priors on that probability.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -143,7 +144,9 @@ class Prior(_Prior):
     """Distribution of the long-run success proportion.
 
     Either a beta(alpha, beta) density or a finite set of weighted atoms.
-    Use :func:`beta_prior` / :func:`discrete_prior` to construct.
+    Use :func:`beta_prior` / :func:`discrete_prior` to construct.  Integer
+    beta parameters are lifted to ``Fraction``, so exact parameters give
+    exact means, posterior means and covariances.
     """
 
     __slots__ = ()
@@ -158,8 +161,14 @@ class Prior(_Prior):
         if kind == "beta":
             if alpha is None or beta is None or atoms is not None:
                 raise ValueError("beta prior takes alpha and beta only")
-            if not (alpha > 0 and beta > 0):
-                raise ValueError(f"beta parameters must be positive, got ({alpha}, {beta})")
+            if not (0 < alpha < math.inf and 0 < beta < math.inf):
+                raise ValueError(
+                    f"beta parameters must be positive and finite, got ({alpha}, {beta})"
+                )
+            if isinstance(alpha, int):
+                alpha = Fraction(alpha)
+            if isinstance(beta, int):
+                beta = Fraction(beta)
         elif kind == "discrete":
             if atoms is None or alpha is not None or beta is not None:
                 raise ValueError("discrete prior takes atoms only")
@@ -167,13 +176,13 @@ class Prior(_Prior):
                 raise ValueError("discrete prior needs at least one atom")
             for value, weight in atoms:
                 _check_probability(value, "atom location")
-                if weight < 0:
+                if not weight >= 0:  # also rejects nan
                     raise ValueError(f"atom weight must be >= 0, got {weight}")
             total = sum(weight for _, weight in atoms)
             if isinstance(total, (int, Fraction)):
                 if total != 1:
                     raise ValueError(f"atom weights must sum to 1, got {total}")
-            elif abs(total - 1.0) > 1e-12:
+            elif not abs(total - 1.0) <= 1e-12:
                 raise ValueError(f"atom weights must sum to 1, got {total}")
         else:
             raise ValueError(f"unknown prior kind {kind!r}")
@@ -208,11 +217,7 @@ class Prior(_Prior):
 
 
 def beta_prior(alpha: Weight, beta: Weight) -> Prior:
-    """Conjugate beta(alpha, beta) prior; exact with Fraction parameters."""
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
-    if isinstance(beta, int):
-        beta = Fraction(beta)
+    """Conjugate beta(alpha, beta) prior; exact with int or Fraction parameters."""
     return Prior(kind="beta", alpha=alpha, beta=beta)
 
 
@@ -284,7 +289,7 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
             else:
                 row.append(ZERO)
         rows.append(tuple(row))
-    return PredictionArray(tuple(rows))
+    return PredictionArray._trusted(tuple(rows))
 
 
 def prior_covariance(prior: Prior) -> Weight:

@@ -92,6 +92,11 @@ def _cutoffs(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
+def _check_theta_source(source: ThetaSource) -> None:
+    if not isinstance(source, Prior) and not 0 <= source <= 1:
+        raise ValueError(f"theta must lie in [0, 1], got {source}")
+
+
 class _SimulationConfig(NamedTuple):
     theta_source: ThetaSource
     horizon: int
@@ -113,9 +118,7 @@ class SimulationConfig(_SimulationConfig):
             raise ValueError(f"replications must be >= 1, got {replications}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not isinstance(theta_source, Prior):
-            if not 0 <= theta_source <= 1:
-                raise ValueError(f"theta must lie in [0, 1], got {theta_source}")
+        _check_theta_source(theta_source)
         return tuple.__new__(cls, (theta_source, horizon, replications, seed))
 
     @classmethod
@@ -230,7 +233,7 @@ class CovarianceEstimate(NamedTuple):
 
 
 def simulate_covariance(
-    prior: Prior,
+    prior: ThetaSource,
     i: int,
     j: int,
     replications: int,
@@ -242,9 +245,11 @@ def simulate_covariance(
     Each replication draws theta from the prior, then trials i and j
     independently given theta, read from outcome slots i and j of the
     layout in the module docstring (trial i >= 1 is slot i).  The estimate
-    converges to the variance of theta under the prior; the reported
-    standard error is the plug-in error of the mean cross-deviation term.
+    converges to the variance of theta under the prior (zero for a fixed
+    theta); the reported standard error is the plug-in error of the mean
+    cross-deviation term.
     """
+    _check_theta_source(prior)
     if i == j:
         raise ValueError("covariance requires two distinct trial indices")
     if i < 1 or j < 1:

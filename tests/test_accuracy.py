@@ -382,8 +382,10 @@ class TestFloatRounding:
     def test_routes_round_the_exact_dyadic_value(self, theta):
         exact = Fraction(theta)
         for k in range(61):
-            for route in (accuracy_direct, accuracy_recursive, accuracy_expanded):
-                if route is accuracy_expanded and k == 0:
+            for route in (
+                accuracy_direct, accuracy_recursive, accuracy_condensed, accuracy_expanded
+            ):
+                if route in (accuracy_condensed, accuracy_expanded) and k == 0:
                     continue
                 assert route(k, theta) == float(route(k, exact)), (route.__name__, k)
         for a in range(31):
@@ -395,7 +397,9 @@ class TestFloatRounding:
     def test_large_k(self):
         theta, k = 0.45, 1100
         exact = Fraction(theta)
-        for route in (accuracy_direct, accuracy_recursive, accuracy_expanded):
+        for route in (
+            accuracy_direct, accuracy_recursive, accuracy_condensed, accuracy_expanded
+        ):
             assert route(k, theta) == float(route(k, exact)), route.__name__
         assert h_function(549, theta) == float(h_function(549, exact))
         for n in (0, 1, 495, 550, 1099, 1100):

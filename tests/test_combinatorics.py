@@ -185,6 +185,9 @@ class TestCatalanSeries:
         exact = catalan_series(Fraction(21, 100), 40)
         assert abs(catalan_series(0.21, 40) - float(exact)) < 1e-12
 
+    def test_float_is_the_exact_sum_rounded_once(self):
+        assert catalan_series(0.21, 40) == float(catalan_series(Fraction(0.21), 40))
+
     def test_empty_sum(self):
         assert catalan_series(Fraction(1, 5), 0) == 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from freqpred.prediction import (
     CountStatistic,
     ImpossibleEvidenceError,
     PredictionArray,
+    Prior,
     beta_prior,
     conditional_accuracy,
     discrete_prior,
@@ -117,6 +119,27 @@ class TestPrior:
             discrete_prior([(Fraction(1, 2), Fraction(1, 2))])  # weights sum to 1/2
         with pytest.raises(ValueError):
             discrete_prior([(Fraction(3, 2), Fraction(1))])  # atom out of range
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="atom weight"):
+            discrete_prior([(0.5, math.nan)])
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1), (1, math.inf), (math.nan, 1)])
+    def test_rejects_non_finite_beta_parameters(self, alpha, beta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            beta_prior(alpha, beta)
+
+    def test_direct_construction_is_exact(self):
+        prior = Prior("beta", 2, 3)
+        assert prior == beta_prior(2, 3)
+        for value in (
+            prior.mean(),
+            posterior_mean(prior, CountStatistic(0, 0)),
+            prior_covariance(prior),
+        ):
+            assert isinstance(value, Fraction), value
+        assert prior.mean() == Fraction(2, 5)
+        assert prior_covariance(prior) == Fraction(1, 25)
 
     def test_symmetry(self):
         assert beta_prior(2, 2).is_symmetric

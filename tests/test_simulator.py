@@ -218,6 +218,11 @@ class TestCovariance:
         assert swapped.estimate == pytest.approx(first_two.estimate, rel=1e-12)
         assert swapped.stderr == pytest.approx(first_two.stderr, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [1.5, -0.5, math.nan])
+    def test_rejects_theta_outside_the_unit_interval(self, theta):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            simulate_covariance(theta, 1, 2, 100, 1)
+
     def test_rejects_the_theta_slot(self):
         with pytest.raises(ValueError):
             simulate_covariance(beta_prior(1, 1), 0, 1, 1000, 1)
