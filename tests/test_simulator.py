@@ -266,6 +266,12 @@ GOLDEN_HITS = {
     ("discrete", "laplace"): (35072, 37198, 37964, 38745, 39269, 39530, 39691, 39734, 39953, 40388),
     ("discrete", "mixed"): (35072, 41370, 41209, 40847, 43380, 42796, 42434, 43793, 43590, 43522),
 }
+# frequent-outcome hits for two more beta shapes, same run: an a < 1 tail
+# and a shape with both parameters well above 1
+GOLDEN_BETA_HITS = {
+    (HALF, Fraction(7, 2)): (34982, 57785, 57576, 59883, 59810, 60646, 60680, 60836, 60907, 61059),
+    (Fraction(5), Fraction(7, 2)): (34955, 39691, 39610, 41258, 41154, 42128, 42034, 42628, 42744, 43031),
+}
 
 GOLDEN_FIXED_STDOUT = """\
 k,hits,trials,estimate,stderr,analytic_pi,z
@@ -298,6 +304,17 @@ class TestGolden:
         config = SimulationConfig(GOLDEN_SOURCES[source], 10, 70_000, 880_001)
         report = simulate_accuracy(config, GOLDEN_ARRAYS[array], chunk_size=chunk_size)
         assert tuple(step.hits for step in report.steps) == GOLDEN_HITS[source, array]
+
+    @pytest.mark.parametrize("chunk_size", [DEFAULT_CHUNK, 12_347])
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_BETA_HITS))
+    def test_beta_shape_hits(self, shape, chunk_size):
+        config = SimulationConfig(beta_prior(*shape), 10, 70_000, 880_001)
+        report = simulate_accuracy(config, GOLDEN_ARRAYS["frequent"], chunk_size=chunk_size)
+        assert tuple(step.hits for step in report.steps) == GOLDEN_BETA_HITS[shape]
+
+    def test_covariance(self):
+        result = simulate_covariance(beta_prior(HALF, Fraction(7, 2)), 1, 2, 70_000, 880_001)
+        assert result == (0.02230223860340862, 0.000585943571872127, 70_000)
 
     @pytest.mark.parametrize(
         "theta_or_prior, expected",
