@@ -199,7 +199,8 @@ class Prior(_Prior):
             return self.alpha == self.beta
         merged: dict = {}
         for value, weight in self.atoms:
-            merged[value] = merged.get(value, 0) + weight
+            if weight > 0:  # a weight-0 atom is no mass, wherever it sits
+                merged[value] = merged.get(value, 0) + weight
         return merged == {1 - v: w for v, w in merged.items()}
 
     @property

@@ -9,7 +9,8 @@ Every random draw is a pure function of ``(seed, replication, slot)``,
 produced by a counter-based SplitMix64-style mixer.  Replication r's
 substream uses fixed slot positions:
 
-* slot 0                  -- inverse-CDF draw of theta (prior sources only)
+* slot 0                  -- inverse-CDF draw of theta (prior sources only;
+                             a beta prior's quantile is ``_beta_quantile``)
 * slots 1..horizon+1      -- the Bernoulli(theta) outcome sequence; the
                              prediction at step k is scored against the
                              outcome in slot 1+k
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
-from typing import NamedTuple, Union
+from itertools import chain, count
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -51,39 +52,43 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 15
+# Beta priors the simulator draws from: the quantile's continued fraction
+# needs ~2 sqrt(max(a, b)) levels (~2,000 at the top) and loses ~log2(a + b)
+# bits, and below the bottom ln B(a, b) cancels away the tail near u = 1.
+BETA_SHAPE_RANGE = (2.0**-20, 2.0**20)
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _REP_STRIDE = np.uint64(0x9E3779B97F4A7C15)
-_U53 = np.uint64(11)
+_S30, _S27, _S31, _U53 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finaliser, applied to ``z`` in place."""
-    z ^= z >> np.uint64(30)
-    z *= _M1
-    z ^= z >> np.uint64(27)
-    z *= _M2
-    z ^= z >> np.uint64(31)
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser, applied to ``z`` in place; ``scratch``, of
+    z's shape, holds each shifted copy."""
+    np.bitwise_xor(z, np.right_shift(z, _S30, out=scratch), out=z)
+    np.multiply(z, _M1, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _S27, out=scratch), out=z)
+    np.multiply(z, _M2, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _S31, out=scratch), out=z)
     return z
 
 
-def _keys(seed: int, reps: np.ndarray) -> np.ndarray:
+def _keys(seed: int, reps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The substream key of each replication, mixed once and read by every slot."""
-    return _mix(np.uint64(seed) + reps * _REP_STRIDE)
+    return _mix(np.uint64(seed) + reps * _REP_STRIDE, scratch)
 
 
-def _draws(keys: np.ndarray, slot: int) -> np.ndarray:
-    """Slot ``slot`` of the substreams with these keys, as 53-bit integers m:
-    the U(0,1) draw is u = m * 2**-53."""
+def _draws(keys: np.ndarray, slot: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Slot ``slot`` of the substreams with these keys, written to ``out`` as
+    53-bit integers m: the U(0,1) draw is u = m * 2**-53."""
     # slot offset wrapped in Python ints: numpy warns on scalar overflow
     offset = np.uint64((slot * 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF)
-    bits = _mix(keys + offset)
-    bits >>= _U53
-    return bits
+    _mix(np.add(keys, offset, out=out), scratch)
+    return np.right_shift(out, _U53, out=out)
 
 
-def _cutoffs(p: np.ndarray) -> np.ndarray:
+def _cutoffs(p: np.ndarray | float) -> np.ndarray | np.uint64:
     """Integers c with u = m * 2**-53 < p exactly when m < c.
 
     p * 2**53 is exact for p in [0, 1], so c = ceil(p * 2**53) <= 2**53;
@@ -93,7 +98,15 @@ def _cutoffs(p: np.ndarray) -> np.ndarray:
 
 
 def _check_theta_source(source: ThetaSource) -> None:
-    if not isinstance(source, Prior) and not 0 <= source <= 1:
+    if isinstance(source, Prior):
+        low, high = BETA_SHAPE_RANGE
+        shapes = (source.alpha, source.beta)
+        if source.kind == "beta" and not all(low <= shape <= high for shape in shapes):
+            raise ValueError(
+                f"beta prior parameters must lie in [2**-20, 2**20] to be simulated, "
+                f"got ({source.alpha}, {source.beta})"
+            )
+    elif not 0 <= source <= 1:
         raise ValueError(f"theta must lie in [0, 1], got {source}")
 
 
@@ -140,14 +153,134 @@ class SimulationReport(NamedTuple):
     steps: tuple[StepAccuracy, ...]
 
 
-def _draw_thetas(source: ThetaSource, keys: np.ndarray) -> np.ndarray:
-    if not isinstance(source, Prior):
-        return np.full(keys.shape, float(source))
-    u = _draws(keys, 0) * 2.0**-53
-    if source.kind == "beta":
-        from scipy.special import betaincinv
+# The beta quantile's Halley steps stop after a step whose Newton part moves
+# ln I by no more than the tolerance (measured in ln I, it holds wherever x
+# lies, even near 1 where t = ln x is tiny): the error left is of order its
+# cube, far below 2**-53.  The cap only bounds the loop.
+_HALLEY_STEPS = 20
+_STEP_TOLERANCE = 2.0**-20
 
-        return betaincinv(float(source.alpha), float(source.beta), u)
+
+def _continued_fraction(a: float, b: float) -> tuple[list[float], float]:
+    """The coefficients c_1..c_n of r(x) = 1 + c_1 x / (1 + c_2 x / (1 + ...)),
+    the continued fraction in I_x(a, b) = x^a (1-x)^b / (a B(a, b) r(x))
+    (DLMF 8.17.22), and ln I at the split point x0 = (a+1)/(a+b+2).
+
+    Below x0 the fraction converges faster the smaller x is, so n is the
+    depth at which its forward evaluation at x0 (Lentz, Appl. Opt. 1976)
+    stops changing in double precision.
+    """
+    x0 = (a + 1) / (a + b + 2)
+    coefficients = []
+    r, c, d = 1.0, 1.0, 0.0
+    for j in count(1):
+        m = j // 2
+        if j % 2:
+            cj = -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            cj = m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))
+        coefficients.append(cj)
+        d = 1.0 / (1.0 + cj * x0 * d)
+        c = 1.0 + cj * x0 / c
+        r *= c * d
+        if abs(c * d - 1.0) <= 2.0**-53:
+            break
+    log_cdf = a * math.log(x0) + b * math.log1p(-x0) - _log_beta(a, b) - math.log(a * r)
+    return coefficients, log_cdf
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _fraction(coefficients: list[float], x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r(x) into ``out``, summed from the tail: r <- 1 + c_j x / r."""
+    out.fill(1.0)
+    for cj in reversed(coefficients):
+        np.divide(x, out, out=out)
+        np.multiply(out, cj, out=out)
+        np.add(out, 1.0, out=out)
+    return out
+
+
+def _log_quantile_start(a: float, b: float, p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """ln of the first guess at x with I_x(a, b) = p (Numerical Recipes,
+    ``invbetai``): Abramowitz & Stegun 26.5.22 when a, b >= 1, else the
+    small-x power law x = (a w p)^(1/a)."""
+    if a < 1 or b < 1:
+        w = math.exp(a * math.log(a / (a + b))) / a + math.exp(b * math.log(b / (a + b))) / b
+        return (math.log(a * w) + log_p) / a
+    lower = p < 0.5
+    z = np.sqrt(-2.0 * np.where(lower, log_p, np.log1p(-p)))
+    y = z - (2.30753 + 0.27061 * z) / (1.0 + z * (0.99229 + 0.04481 * z))
+    y = np.where(lower, y, -y)
+    lam = (y * y - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = y * np.sqrt(lam + h) / h - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (
+        lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
+    )
+    # x = a / (a + b e^(2w))
+    return -np.logaddexp(0.0, math.log(b / a) + 2.0 * w)
+
+
+def _log_quantile(a: float, b: float, coefficients: list[float], p: np.ndarray) -> np.ndarray:
+    """t = ln x with I_x(a, b) = p, for each p in (0, I_{x0}(a, b)].
+
+    Halley steps on ln I - ln p as a function of t, where
+    ln I = a t + b ln(1-x) - ln B(a, b) - ln(a r(x)),
+    d ln I / dt = a r / (1-x) =: g and d^2 ln I / dt^2 = g (a - (b-1) x/(1-x) - g).
+    The root lies at or below t0 = ln x0, so iterates are clamped there.
+    """
+    t0 = math.log((a + 1) / (a + b + 2))
+    log_p = np.log(p)
+    t = np.minimum(_log_quantile_start(a, b, p, log_p), t0)
+    offset = -_log_beta(a, b) - math.log(a) - log_p
+    x, r = np.empty_like(t), np.empty_like(t)
+    for _ in range(_HALLEY_STEPS):
+        np.exp(t, out=x)
+        _fraction(coefficients, x, r)
+        residual = a * t + b * np.log1p(-x) - np.log(r) + offset
+        odds = x / (1.0 - x)
+        g = a * r * (1.0 + odds)
+        newton = residual / g
+        t -= newton / (1.0 - 0.5 * np.clip(newton * (a - (b - 1.0) * odds - g), -1.0, 1.0))
+        np.minimum(t, t0, out=t)
+        if np.max(np.abs(residual)) <= _STEP_TOLERANCE:
+            break
+    return t
+
+
+def _beta_quantile(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """The beta(a, b) quantile of each u in [0, 1): x with I_x(a, b) = u.
+
+    The continued fraction converges well below x0 = (a+1)/(a+b+2), so u
+    below I_{x0}(a, b) solves I_x(a, b) = u, and the rest solves
+    I_y(b, a) = 1 - u, exact for u = m 2^-53, and returns x = 1 - y.
+    u = 0 gives exactly 0.
+    """
+    coefficients, log_split = _continued_fraction(a, b)
+    split = math.exp(log_split)
+    x = np.zeros(u.shape)
+    low = np.flatnonzero((0.0 < u) & (u < split))
+    high = np.flatnonzero(u >= split)
+    if low.size:
+        x[low] = np.exp(_log_quantile(a, b, coefficients, u[low]))
+    if high.size:
+        swapped, _ = _continued_fraction(b, a)
+        x[high] = -np.expm1(_log_quantile(b, a, swapped, 1.0 - u[high]))
+    return x
+
+
+def _draw_thetas(
+    source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray | float:
+    """Each replication's theta: a fixed source as one float, a prior as
+    the inverse-CDF image of slot 0 (``out`` and ``scratch`` are overwritten)."""
+    if not isinstance(source, Prior):
+        return float(source)
+    u = _draws(keys, 0, out, scratch) * 2.0**-53
+    if source.kind == "beta":
+        return _beta_quantile(float(source.alpha), float(source.beta), u)
     values = np.array([float(v) for v, _ in source.atoms])
     cumulative = np.cumsum([float(w) for _, w in source.atoms])
     cumulative[-1] = 1.0  # guard the top bin against float round-off
@@ -180,6 +313,19 @@ def _phi_rows(
     ]
 
 
+def _chunks(total: int, chunk_size: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Each chunk's replication indices, with one buffer per dtype for its
+    vectors.  The buffers are allocated once per call, so the per-step loop
+    makes no chunk-sized temporaries: glibc serves those from freshly
+    mapped pages, which fault on first touch.  The last chunk, which may be
+    shorter, gets views of the buffers' first entries."""
+    size = min(chunk_size, total)
+    buffers = [np.empty(size, dtype) for dtype in dtypes]
+    for start in range(0, total, chunk_size):
+        reps = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
+        yield reps, [buffer[: reps.size] for buffer in buffers]
+
+
 def simulate_accuracy(
     config: SimulationConfig,
     array: PredictionArray,
@@ -199,23 +345,24 @@ def simulate_accuracy(
     rows = _phi_rows(array, horizon)
     hits = [0] * horizon
     total = config.replications
-    for start in range(0, total, chunk_size):
-        reps = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
-        keys = _keys(config.seed, reps)
-        theta_cut = _cutoffs(_draw_thetas(config.theta_source, keys))
-        counts = np.zeros(reps.shape, dtype=np.int64)
+    chunks = _chunks(total, chunk_size, np.uint64, np.uint64, np.int64, bool, bool, bool)
+    for reps, (bits, scratch, counts, outcome, predicted, agree) in chunks:
+        keys = _keys(config.seed, reps, scratch)
+        theta_cut = _cutoffs(_draw_thetas(config.theta_source, keys, bits, scratch))
+        counts.fill(0)
         for k, (phi_cut, ones, split) in enumerate(rows):
-            outcome = _draws(keys, 1 + k) < theta_cut
+            np.less(_draws(keys, 1 + k, bits, scratch), theta_cut, out=outcome)
             # m < 2**53, so phi == 1.0 predicts one and phi == 0.0 zero; only
             # the cells in between read their prediction slot
-            predicted = ones[counts]
+            np.take(ones, counts, out=predicted, mode="clip")
             if split is not None:
-                cells = np.flatnonzero(split[counts])
+                cells = np.flatnonzero(np.take(split, counts, out=agree, mode="clip"))
                 if cells.size:
-                    drawn = _draws(keys[cells], horizon + 2 + k)
+                    n = cells.size
+                    drawn = _draws(keys[cells], horizon + 2 + k, bits[:n], scratch[:n])
                     predicted[cells] = drawn < phi_cut[counts[cells]]
-            hits[k] += int(np.count_nonzero(predicted == outcome))
-            counts += outcome
+            hits[k] += int(np.count_nonzero(np.equal(predicted, outcome, out=agree)))
+            np.add(counts, outcome, out=counts)
     steps = []
     for k, h in enumerate(hits):
         estimate = h / total
@@ -261,15 +408,15 @@ def simulate_covariance(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     sum_x = sum_y = sum_xy = 0
-    for start in range(0, replications, chunk_size):
-        reps = np.arange(start, min(start + chunk_size, replications), dtype=np.uint64)
-        keys = _keys(seed, reps)
-        theta_cut = _cutoffs(_draw_thetas(prior, keys))
-        x = _draws(keys, i) < theta_cut
-        y = _draws(keys, j) < theta_cut
+    chunks = _chunks(replications, chunk_size, np.uint64, np.uint64, bool, bool)
+    for reps, (bits, scratch, x, y) in chunks:
+        keys = _keys(seed, reps, scratch)
+        theta_cut = _cutoffs(_draw_thetas(prior, keys, bits, scratch))
+        np.less(_draws(keys, i, bits, scratch), theta_cut, out=x)
+        np.less(_draws(keys, j, bits, scratch), theta_cut, out=y)
         sum_x += int(np.count_nonzero(x))
         sum_y += int(np.count_nonzero(y))
-        sum_xy += int(np.count_nonzero(x & y))
+        sum_xy += int(np.count_nonzero(np.logical_and(x, y, out=x)))
     r = replications
     mean_x = sum_x / r
     mean_y = sum_y / r

@@ -336,6 +336,8 @@ assert not heavy, f"{sorted(heavy)} loaded before simulate"
 assert cli.main(["simulate", "0.45", "5", "100", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
 assert "scipy" not in set(sys.modules) - before, "scipy loaded for a fixed theta"
+assert cli.main(["simulate", "beta:2,3", "5", "100", "--seed", "1"]) == 0
+assert "scipy" not in set(sys.modules) - before, "scipy loaded for a beta prior"
 """
     src = Path(cli.__file__).resolve().parents[1]
     result = subprocess.run(

@@ -150,6 +150,15 @@ class TestPrior:
         lopsided = discrete_prior([(Fraction(2, 5), Fraction(3, 4)), (Fraction(3, 5), Fraction(1, 4))])
         assert not lopsided.is_symmetric
 
+    def test_zero_weight_atoms_do_not_break_symmetry(self):
+        # discrete:1/5=1/2,4/5=1/2,3/10=0 on the command line
+        prior = discrete_prior([(Fraction(1, 5), HALF), (Fraction(4, 5), HALF), (Fraction(3, 10), 0)])
+        assert prior.is_symmetric
+        assert prior.is_almost_uniform
+        assert optimal_array(prior, 12) == frequent_outcome_array(12)
+        lopsided = discrete_prior([(Fraction(1, 5), HALF), (Fraction(3, 5), HALF), (Fraction(2, 5), 0)])
+        assert not lopsided.is_symmetric
+
     def test_point_mass_at_half_is_not_almost_uniform(self):
         degenerate = discrete_prior([(HALF, Fraction(1))])
         assert degenerate.is_symmetric

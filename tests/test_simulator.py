@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freqpred import cli
@@ -19,6 +20,7 @@ from freqpred.prediction import (
 from freqpred.simulator import (
     DEFAULT_CHUNK,
     SimulationConfig,
+    _beta_quantile,
     simulate_accuracy,
     simulate_covariance,
 )
@@ -76,6 +78,15 @@ class TestConfigValidation:
         config = SimulationConfig(theta_source=0.5, horizon=6, replications=10, seed=1)
         with pytest.raises(ValueError):
             simulate_accuracy(config, frequent_outcome_array(3))
+
+    @pytest.mark.parametrize("shapes", [(2**20 + 1, 1), (1, Fraction(1, 2**21)), (Fraction(1, 2**30), 10**9)])
+    def test_beta_shapes_outside_the_kernel_range(self, shapes):
+        with pytest.raises(ValueError, match=r"must lie in \[2\*\*-20, 2\*\*20\]"):
+            SimulationConfig(theta_source=beta_prior(*shapes), horizon=5, replications=10, seed=1)
+        with pytest.raises(ValueError, match="must lie in"):
+            simulate_covariance(beta_prior(*shapes), 1, 2, 100, 1)
+        # the range's ends are simulated
+        SimulationConfig(beta_prior(2**20, Fraction(1, 2**20)), 5, 10, 1)
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
     def test_bad_chunk_size(self, chunk_size):
@@ -236,6 +247,80 @@ class TestCovariance:
         first = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7)
         second = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7, chunk_size=333)
         assert first == second
+
+
+# the beta shapes the monte_carlo benchmark workload draws
+HALF_INTEGER_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 5.0)
+WIDE_SHAPES = (0.05, 0.1, 0.5, 1.0, 2.0, 3.5, 10.0, 30.0, 100.0, 500.0)
+
+
+def uniform_draws(count: int, seed: int) -> np.ndarray:
+    """0, 2**-53, 1/2 and 1 - 2**-53, then seeded draws m * 2**-53 as the simulator makes them."""
+    rng = np.random.default_rng(seed)
+    ends = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+    return np.concatenate([ends, rng.integers(0, 2**53, count - len(ends)) * 2.0**-53])
+
+
+def mpmath_beta_quantile(a: float, b: float, u: float, near: float):
+    """x with I_x(a, b) = u to 40 digits, by bisection on mpmath's betainc,
+    from a bracket of width 2**-29 around ``near`` if it holds the root."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b, u = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(u)
+
+        def below(x):
+            return mpmath.betainc(a, b, 0, x, regularized=True) < u
+
+        lo, hi = mpmath.mpf(max(near - 2.0**-30, 0.0)), mpmath.mpf(min(near + 2.0**-30, 1.0))
+        if not (below(lo) or lo == 0) or below(hi):
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while hi - lo > mpmath.mpf(10) ** -25:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return (lo + hi) / 2
+
+
+class TestBetaQuantile:
+    """The simulator's inverse of the regularized incomplete beta function,
+    which draws theta under a beta prior."""
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(150)
+        worst = 0.0
+        for index in range(150):
+            a, b = rng.choice(HALF_INTEGER_SHAPES, size=2)
+            if index % 5:
+                m = int(rng.integers(0, 2**53))
+            else:  # small u, down to 2**-53, for the a < 1 tails
+                m = int(rng.integers(1, 2**20)) << int(rng.integers(0, 34))
+            u = m * 2.0**-53
+            x = float(_beta_quantile(a, b, np.array([u]))[0])
+            worst = max(worst, abs(float(x - mpmath_beta_quantile(a, b, u, x))))
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("a", HALF_INTEGER_SHAPES)
+    def test_against_scipy(self, a):
+        from scipy.special import betaincinv
+
+        u = uniform_draws(10**5, 7)
+        ordered = np.sort(u)
+        for b in HALF_INTEGER_SHAPES:
+            x = _beta_quantile(a, b, u)
+            assert np.max(np.abs(x - betaincinv(a, b, u))) <= 1e-14, (a, b)
+            assert ((0.0 <= x) & (x <= 1.0)).all(), (a, b)  # also no NaN
+            assert x[0] == 0.0
+            assert (np.diff(_beta_quantile(a, b, ordered)) >= 0).all(), (a, b)
+
+    def test_wide_shapes_against_scipy(self):
+        from scipy.special import betaincinv
+
+        u = uniform_draws(10**4, 8)
+        for a in WIDE_SHAPES:
+            for b in WIDE_SHAPES:
+                x = _beta_quantile(a, b, u)
+                assert np.max(np.abs(x - betaincinv(a, b, u))) <= 1e-11, (a, b)
+                assert ((0.0 <= x) & (x <= 1.0)).all(), (a, b)
 
 
 GOLDEN_SOURCES = {
