@@ -12,20 +12,16 @@ routes are provided and must agree:
 * ``accuracy_condensed``  -- Catalan-series closed form.
 * ``accuracy_expanded``   -- integer-coefficient polynomial form.
 
-Arithmetic convention: exact inputs (``int``, ``Fraction``) produce exact
-``Fraction`` results; ``float`` inputs produce floats.  Every ``pi_k`` is
-a polynomial in theta with integer coefficients, so at ``theta = p/d`` it
-is an integer over a power of d, and a float theta is exactly such a p/d
-(its dyadic value).  ``bin_pmf``, ``h_function``, the direct, recursive,
-condensed and expanded routes, the curve and the threshold search all
-evaluate exactly on p and d and round once: a float result is the
-correctly rounded exact answer at the float's dyadic value, the same bits
-as ``float(route(k, Fraction(theta)))``, and cannot overflow at large k.
-The condensed route's Catalan partial sum is the integer kernel of
-``combinatorics.catalan_series`` (Horner on x = u/v, one division by
-v^a) for every input type.  Only the t-table runs in floats for a float
-theta, because its exact form grows too fast; it stays within 1e-12 of
-the exact value.
+Every ``pi_k`` is a polynomial in theta with integer coefficients, so at
+``theta = p/d`` it is an integer over a power of d, and a float theta is
+exactly such a p/d (its dyadic value).  ``bin_pmf``, ``h_function``, the
+direct, recursive, condensed and expanded routes and the curve build that
+integer and divide once, by the rounding rule of ``combinatorics._number``;
+the threshold search compares it with the target.  Only the t-table runs
+in floats for a float theta, because its exact form grows too fast; it
+stays within 1e-12 of the exact value.  The condensed route is one
+numerator over ``d^(2a+2)``, its Catalan partial sum from
+``combinatorics._catalan_terms``.
 
 The plateau increments are summed as integers, with no gcd per term.
 ``_plateau_numerators`` yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
@@ -43,7 +39,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
-from .combinatorics import alpha_row, binomial, catalan_series
+from .combinatorics import _catalan_terms, _number, alpha_row, binomial
+from .combinatorics import catalan_series  # noqa: F401  (unused; perfbench/tracing.py patches it here)
 
 Theta = Union[int, float, Fraction]
 
@@ -83,12 +80,6 @@ def _ratio(theta: Theta) -> tuple[int, int, bool]:
     theta = _checked(theta)
     p, d = theta.as_integer_ratio()
     return p, d, isinstance(theta, float)
-
-
-def _number(num: int, den: int, as_float: bool) -> Theta:
-    """num/den as a Fraction, or for float input rounded once (``int / int``
-    is correctly rounded: the same bits as ``float(Fraction(num, den))``)."""
-    return num / den if as_float else Fraction(num, den)
 
 
 def _plateau_index(k: int) -> int:
@@ -260,19 +251,20 @@ def accuracy_recursive(k: int, theta: Theta) -> Theta:
 def accuracy_condensed(k: int, theta: Theta) -> Theta:
     """pi_k in Catalan-series closed form (defined for k >= 1).
 
-    pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1), x = theta(1-theta),
-    evaluated exactly at x = p(d-p)/d^2 for theta = p/d: the Catalan
-    partial sum is ``catalan_series``' integer kernel.  A float theta gets
-    that exact value rounded once; only the t-table runs in floats.
+    pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1), x = theta(1-theta).
+    At theta = p/d, x = pq/d2 with pq = p(d-p), d2 = d^2, and pi_k is one
+    integer over d2^(a+1): the Catalan numerator from ``_catalan_terms``
+    times d2, and the tail 2 C(2a, a) pq^(a+1) = 2(a+1) C_a pq^(a+1), from
+    the kernel's next term.
     """
     if k < 1:
         raise ValueError(f"condensed form requires k >= 1, got {k}")
     p, d, as_float = _ratio(theta)
     a = _plateau_index(k)
     pq, d2 = p * (d - p), d * d
-    tail = Fraction(2 * binomial(2 * a, a) * pq ** (a + 1), d2 ** (a + 1))
-    pi = 1 - catalan_series(Fraction(pq, d2), a) - tail
-    return float(pi) if as_float else pi
+    scale = d2 ** (a + 1)
+    total, term = _catalan_terms(pq, d2, a)
+    return _number(scale - d2 * total - 2 * (a + 1) * term, scale, as_float)
 
 
 class PiPolynomial(NamedTuple):

@@ -1,17 +1,13 @@
 """Exact integer and rational building blocks: binomial coefficients,
-Catalan numbers, and the signed coefficient algebra behind the expanded
-accuracy polynomials.
+Catalan numbers, the Catalan-series kernel, and the signed coefficient
+algebra behind the expanded accuracy polynomials.
 
-The integer functions and every function given an exact (``int`` or
-``fractions.Fraction``) argument return exact Python integers or
-``Fraction`` values and never round.  ``catalan_gf`` always returns a
-float.  ``catalan_series`` given a float sums exactly on its dyadic value
-and rounds once at the end, like every accuracy route but the t-table,
-the only one that runs in floats for a float theta.  ``Fraction`` is the
-canonical carrier for exact probabilities throughout the package: it
-keeps gcd-reduced numerator/denominator pairs with a positive
-denominator, which is exactly the invariant the rest of the code relies
-on.
+The integer functions return exact Python integers.  ``catalan_series``
+follows the package's one rounding rule, ``_number``; ``catalan_gf``
+always returns a float.  ``Fraction`` is the canonical carrier for exact probabilities throughout
+the package: it keeps gcd-reduced numerator/denominator pairs with a
+positive denominator, which is exactly the invariant the rest of the code
+relies on.
 """
 
 from __future__ import annotations
@@ -31,6 +27,18 @@ __all__ = [
     "alpha_coefficient",
     "alpha_row",
 ]
+
+
+def _number(num: int, den: int, as_float: bool) -> float | Fraction:
+    """num/den under the package's one rounding rule.
+
+    Exact input (``int`` or ``Fraction``) gives an exact ``Fraction``.
+    Float input is evaluated exactly on its dyadic value, as integers over
+    a common denominator, and rounded once: ``int / int`` is correctly
+    rounded, the same bits as ``float(Fraction(num, den))``, for integers
+    of any size.
+    """
+    return num / den if as_float else Fraction(num, den)
 
 
 def binomial(n: int, k: int) -> int:
@@ -111,16 +119,17 @@ def alpha_coefficient(a: int, t: int) -> int:
 
 
 class _CoefficientTable(NamedTuple):
-    rows: dict[int, tuple[int, ...]]
+    rows: tuple[tuple[int, ...], ...]
 
 
 class CoefficientTable(_CoefficientTable):
-    """Rows of expanded-polynomial coefficients, keyed by plateau index a."""
+    """Rows of expanded-polynomial coefficients; ``rows[a]`` is plateau index a."""
 
     __slots__ = ()
 
-    def __new__(cls, rows: dict[int, tuple[int, ...]]) -> CoefficientTable:
-        for a, row in rows.items():
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> CoefficientTable:
+        rows = tuple(tuple(row) for row in rows)
+        for a, row in enumerate(rows):
             if len(row) != a + 2:
                 raise ValueError(f"row {a} must have {a + 2} entries, got {len(row)}")
             if sum(row) != -1:
@@ -136,9 +145,11 @@ class CoefficientTable(_CoefficientTable):
         """Build (and cache, via alpha_row) all rows for a = 0..a_max."""
         if a_max < 0:
             raise ValueError(f"a_max must be >= 0, got {a_max}")
-        return cls({a: alpha_row(a) for a in range(a_max + 1)})
+        return cls(tuple(alpha_row(a) for a in range(a_max + 1)))
 
     def row(self, a: int) -> tuple[int, ...]:
+        if not 0 <= a < len(self.rows):
+            raise ValueError(f"row index a must be in 0..{len(self.rows) - 1}, got {a}")
         return self.rows[a]
 
 
@@ -149,25 +160,30 @@ def catalan_gf(z: float | Fraction | int) -> float:
     return 2.0 / (1.0 + sqrt(float(1 - 4 * z)))
 
 
+def _catalan_terms(u: int, v: int, n: int) -> tuple[int, int]:
+    """(sum_(i=1..n) C_(i-1) u^i v^(n-i), C_n u^(n+1)) for integers u, v.
+
+    The first is the Catalan partial sum at x = u/v scaled by v^n, summed
+    by Horner; the second is the next term, which the loop already holds
+    when it ends.  Each term C_(i-1) u^i advances by the exact ratio
+    (4i-2) u / (i+1): one product and one exact division, no gcd.
+    """
+    total, term = 0, u  # term = C_(i-1) u^i, starting at i = 1
+    for i in range(1, n + 1):
+        total = total * v + term
+        term = term * (u * (4 * i - 2)) // (i + 1)
+    return total, term
+
+
 def catalan_series(x: float | Fraction | int, terms: int) -> float | Fraction:
     """Partial sum  sum_{i=1..n} C_{i-1} x^i  of the Catalan series, n = terms.
 
-    Every input runs one integer kernel on x = u/v (a float is its dyadic
-    value): the numerator sum_{i=1..n} C_{i-1} u^i v^(n-i) by Horner, each
-    term C_{i-1} u^i advanced by the exact ratio 2(2i-1) u / (i+1), and one
-    division by v^n at the end, so no gcd is taken per term.  Exact input
-    (``int`` or ``Fraction``) returns that quotient as a ``Fraction``; a
-    float returns it correctly rounded, the same bits as
-    ``float(catalan_series(Fraction(x), terms))``.  For 0 <= x <= 1/4 the
-    partial sums increase towards x G(x).
+    One numerator from ``_catalan_terms`` on x = u/v, divided by v^n once
+    by ``_number``.
+    For 0 <= x <= 1/4 the partial sums increase towards x G(x).
     """
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     u, v = x.as_integer_ratio()
-    total, term = 0, u  # term = C_(i-1) u^i, starting at i = 1
-    for i in range(1, terms + 1):
-        total = total * v + term
-        term = term * u * (2 * (2 * i - 1)) // (i + 1)
-    if isinstance(x, float):
-        return total / v**terms  # int / int rounds once, correctly
-    return Fraction(total, v**terms)
+    total, _ = _catalan_terms(u, v, terms)
+    return _number(total, v**terms, isinstance(x, float))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freqpred.accuracy import (
     _plateau_numerators,
@@ -404,3 +404,15 @@ class TestFloatRounding:
         assert h_function(549, theta) == float(h_function(549, exact))
         for n in (0, 1, 495, 550, 1099, 1100):
             assert bin_pmf(n, k, theta) == float(bin_pmf(n, k, exact)), n
+
+    @given(st.integers(1, 300), st.floats(0, 1))
+    @example(1, 0.0)
+    @example(300, 0.5)
+    @example(299, 1.0)
+    @example(300, 5e-324)
+    @example(1, 5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_float_condensed_is_the_exact_value_rounded_once(self, k, theta):
+        value = accuracy_condensed(k, theta)
+        assert value == accuracy_recursive(k, theta)
+        assert value == float(accuracy_condensed(k, Fraction(theta)))

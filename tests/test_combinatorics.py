@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from freqpred.combinatorics import (
     CoefficientTable,
+    _catalan_terms,
     alpha_coefficient,
     alpha_row,
     binomial,
@@ -145,16 +146,28 @@ class TestAlphaCoefficient:
 class TestCoefficientTable:
     def test_up_to(self):
         table = CoefficientTable.up_to(5)
-        assert set(table.rows) == set(range(6))
+        assert table.rows == tuple(alpha_row(a) for a in range(6))
         assert table.row(5)[0] == 462
 
     def test_rejects_bad_row_length(self):
         with pytest.raises(ValueError):
-            CoefficientTable({1: (3, -8, 4, 0)})
+            CoefficientTable(((1, -2), (3, -8, 4, 0)))
 
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValueError):
-            CoefficientTable({1: (3, -8, 5)})
+            CoefficientTable(((1, -2), (3, -8, 5)))
+
+    def test_rows_are_read_only_and_the_table_hashes(self):
+        table = CoefficientTable.up_to(2)
+        with pytest.raises(TypeError):
+            table.rows[5] = (1, 2)
+        assert hash(table) == hash(CoefficientTable.up_to(2))
+
+    @pytest.mark.parametrize("a", [-1, 3, 5])
+    def test_row_outside_the_table(self, a):
+        # a bare tuple index would read rows[-1] for a = -1
+        with pytest.raises(ValueError):
+            CoefficientTable.up_to(2).row(a)
 
 
 class TestCatalanGf:
@@ -190,6 +203,14 @@ class TestCatalanSeries:
 
     def test_empty_sum(self):
         assert catalan_series(Fraction(1, 5), 0) == 0
+
+    def test_kernel_on_an_integer_grid(self):
+        for u in range(6):
+            for v in range(1, 6):
+                for n in range(9):
+                    numerator, next_term = _catalan_terms(u, v, n)
+                    assert next_term == catalan(n) * u ** (n + 1), (u, v, n)
+                    assert catalan_series(Fraction(u, v), n) == Fraction(numerator, v**n)
 
     @pytest.mark.parametrize(
         "x", [0, Fraction(1, 100), Fraction(21, 100), Fraction(2, 9), Fraction(1, 4)]
