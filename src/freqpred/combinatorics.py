@@ -36,7 +36,11 @@ def _number(num: int, den: int, as_float: bool) -> float | Fraction:
     Float input is evaluated exactly on its dyadic value, as integers over
     a common denominator, and rounded once: ``int / int`` is correctly
     rounded, the same bits as ``float(Fraction(num, den))``, for integers
-    of any size.
+    of any size, and does not underflow where a product of float factors
+    would.  The kernels that end here: ``catalan_series``; in ``accuracy``,
+    ``bin_pmf``, ``h_function``, the direct, recursive, condensed and
+    expanded routes and the curve; in ``prediction``, the discrete-prior
+    ``posterior_mean``.
     """
     return num / den if as_float else Fraction(num, den)
 

@@ -14,7 +14,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .accuracy import Theta, bin_pmf
+from .accuracy import Theta
+from .accuracy import bin_pmf  # noqa: F401  (unused; perfbench/tracing.py patches it here)
+from .combinatorics import _number
 
 Weight = Union[int, float, Fraction]
 
@@ -230,21 +232,38 @@ def discrete_prior(atoms) -> Prior:
 def posterior_mean(prior: Prior, stat: CountStatistic) -> Weight:
     """E[theta | n ones in k trials] under the prior.
 
-    Beta priors use the conjugate closed form (alpha + n)/(alpha + beta + k);
-    discrete priors take the likelihood-weighted atom average.
+    Beta priors use the conjugate closed form (alpha + n)/(alpha + beta + k).
+    A discrete prior is one integer kernel.  With atom values a_i/b_i and
+    weights c_i/e_i, the likelihood-weighted mass of atom i is, up to the
+    common factor C(k, n) / (B^k E),
+
+        t_i = c_i (E/e_i) a_i^n (b_i - a_i)^(k-n) (B/b_i)^k,
+
+    with B and E the least common multiples of the b_i and of the e_i.  The
+    mean sum_i a_i (B/b_i) t_i / (B sum_i t_i) is divided once, by the
+    rounding rule of ``combinatorics._number``: a float atom value or
+    weight is taken at its dyadic value, so a float prior's mean is the
+    exact one rounded once and never underflows at large k.
     """
     if prior.kind == "beta":
         return (prior.alpha + stat.n) / (prior.alpha + prior.beta + stat.k)
-    weighted = [
-        (value, weight * bin_pmf(stat.n, stat.k, value))
-        for value, weight in prior.atoms
-    ]
-    marginal = sum(w for _, w in weighted)
+    k, n = stat
+    values = [value.as_integer_ratio() for value, _ in prior.atoms]
+    weights = [weight.as_integer_ratio() for _, weight in prior.atoms]
+    b_all = math.lcm(*(b for _, b in values))
+    e_all = math.lcm(*(e for _, e in weights))
+    num = marginal = 0
+    for (a, b), (c, e) in zip(values, weights):
+        scale = b_all // b
+        t = c * (e_all // e) * a**n * (b - a) ** (k - n) * scale**k
+        num += a * scale * t
+        marginal += t
     if marginal == 0:
         raise ImpossibleEvidenceError(
-            f"count n={stat.n}, k={stat.k} has zero probability under the prior"
+            f"count n={n}, k={k} has zero probability under the prior"
         )
-    return sum(v * w for v, w in weighted) / marginal
+    as_float = any(isinstance(x, float) for atom in prior.atoms for x in atom)
+    return _number(num, b_all * marginal, as_float)
 
 
 def posterior_correct_probability(

@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -289,6 +291,70 @@ class TestOutputHandling:
         payload = json.loads(out)
         assert code == 0
         assert {"k", "hits", "trials", "estimate", "stderr", "analytic_pi", "z"} == set(payload[0])
+
+
+
+class TestEmitBytes:
+    """The exact bytes ``emit`` writes, so that a faster writer can be held
+    to them: non-finite floats, bools, big ints, Fractions, strings that
+    need quoting or are not ASCII, and an empty table."""
+
+    HEADER = ["name", "value", "flag"]
+    ROWS = [
+        ["nan", math.nan, True],
+        ["inf", math.inf, False],
+        ["-inf", -math.inf, True],
+        ["big", 2**70, False],
+        ["third", Fraction(1, 3), True],
+        ["a,b", Fraction(-7, 2), False],
+        ['say "hi"', 2.0, True],
+        ["café θ", 1e-300, False],
+    ]
+    CSV = (
+        "name,value,flag\n"
+        "nan,nan,true\n"
+        "inf,inf,false\n"
+        "-inf,-inf,true\n"
+        "big,1180591620717411303424,false\n"
+        "third,0.3333,true\n"
+        '"a,b",-3.5,false\n'
+        '"say ""hi""",2,true\n'
+        "café θ,1e-300,false\n"
+    )
+    JSON_ROWS = [
+        ('"nan"', "null", "true"),
+        ('"inf"', "null", "false"),
+        ('"-inf"', "null", "true"),
+        ('"big"', "1180591620717411303424", "false"),
+        ('"third"', "0.3333333333333333", "true"),
+        ('"a,b"', "-3.5", "false"),
+        ('"say \\"hi\\""', "2.0", "true"),
+        ('"caf\\u00e9 \\u03b8"', "1e-300", "false"),
+    ]
+    JSON = (
+        "[\n"
+        + ",\n".join(
+            f'  {{\n    "name": {name},\n    "value": {value},\n    "flag": {flag}\n  }}'
+            for name, value, flag in JSON_ROWS
+        )
+        + "\n]\n"
+    )
+
+    def written(self, tmp_path, fmt, rows):
+        target = tmp_path / f"table.{fmt}"
+        cli.emit(fmt, str(target), self.HEADER, rows, 4)
+        return target.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes(self, capsys, tmp_path, fmt):
+        expected = self.CSV if fmt == "csv" else self.JSON
+        assert self.written(tmp_path, fmt, self.ROWS) == expected.encode("utf-8")
+        cli.emit(fmt, None, self.HEADER, self.ROWS, 4)
+        assert capsys.readouterr().out == expected
+
+    def test_empty_table(self, tmp_path):
+        assert self.written(tmp_path, "csv", []) == b"name,value,flag\n"
+        assert self.written(tmp_path, "json", []) == b"[]\n"
 
 
 class TestParserReuse:

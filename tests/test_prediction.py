@@ -31,6 +31,41 @@ HALF = Fraction(1, 2)
 probabilities = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
 
+def posterior_mean_reference(prior: Prior, stat: CountStatistic) -> Fraction:
+    """The likelihood-weighted ``Fraction`` average over the atoms: one
+    ``bin_pmf`` per atom, then the weight products, two sums and a division."""
+    weighted = [(v, w * bin_pmf(stat.n, stat.k, v)) for v, w in prior.atoms]
+    marginal = sum(w for _, w in weighted)
+    if marginal == 0:
+        raise ImpossibleEvidenceError(f"count {stat} has zero probability")
+    return sum(v * w for v, w in weighted) / marginal
+
+
+def outcome(prior: Prior, stat: CountStatistic, mean=posterior_mean):
+    """The posterior mean, or ImpossibleEvidenceError when the count is ruled out."""
+    try:
+        return mean(prior, stat)
+    except ImpossibleEvidenceError:
+        return ImpossibleEvidenceError
+
+
+# 1-5 atoms p/q with q <= 60, atoms at 0 and 1 and zero weights included
+exact_atoms = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=60)
+        ),
+        st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=5,
+).filter(lambda atoms: any(w for _, w in atoms))
+
+float_atoms = st.lists(
+    st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=5
+).filter(lambda atoms: any(w for _, w in atoms))
+
+
 def posterior_mean_quadrature(a: float, b: float, k: int, n: int) -> float:
     """Bayes-ratio integral under a beta density, by numeric quadrature."""
     density = beta_dist(a, b).pdf
@@ -194,6 +229,40 @@ class TestPosteriorMean:
         with pytest.raises(ImpossibleEvidenceError):
             posterior_mean(prior, CountStatistic(3, 2))
 
+    @given(exact_atoms, st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_reference(self, raw_atoms, k):
+        total = sum(w for _, w in raw_atoms)
+        prior = discrete_prior([(v, Fraction(w, total)) for v, w in raw_atoms])
+        for n in range(k + 1):
+            stat = CountStatistic(k, n)
+            assert outcome(prior, stat) == outcome(prior, stat, posterior_mean_reference)
+
+    def test_float_pmfs_that_underflow(self):
+        # every float bin_pmf here is 0.0; the exact kernel still sees the 81:1 odds
+        stat = CountStatistic(2000, 1001)
+        mean = posterior_mean(discrete_prior([(0.1, 0.5), (0.9, 0.5)]), stat)
+        assert isinstance(mean, float)
+        assert mean == pytest.approx(73 / 82, rel=1e-12)
+        exact = discrete_prior([(Fraction(1, 10), HALF), (Fraction(9, 10), HALF)])
+        assert posterior_mean(exact, stat) == Fraction(73, 82)
+
+    @given(float_atoms, st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_float_prior_is_its_dyadic_value_rounded_once(self, raw_atoms, k):
+        # the mean does not depend on the weights' scale, so the lifted prior
+        # may renormalise its exact weights where the float sum is off by ulps
+        total = sum(w for _, w in raw_atoms)
+        prior = discrete_prior([(v, w / total) for v, w in raw_atoms])
+        lifted_total = sum(Fraction(w) for _, w in prior.atoms)
+        lifted = discrete_prior([(Fraction(v), Fraction(w) / lifted_total) for v, w in prior.atoms])
+        for n in range(k + 1):
+            stat = CountStatistic(k, n)
+            expected = outcome(lifted, stat)
+            if expected is not ImpossibleEvidenceError:
+                expected = float(expected)
+            assert outcome(prior, stat) == expected
+
 
 class TestPosteriorCorrectProbability:
     def test_coin_flip(self):
@@ -232,6 +301,9 @@ class TestOptimalArray:
         discrete_prior(
             [(Fraction(1, 10), Fraction(1, 4)), (Fraction(9, 10), Fraction(1, 4)), (HALF, HALF)]
         ),
+        # float atoms: dyadic, and symmetric only up to rounding (1 - 0.9 != 0.1)
+        discrete_prior([(0.25, 0.5), (0.75, 0.5)]),
+        discrete_prior([(0.1, 0.5), (0.9, 0.5)]),
     ]
 
     def test_symmetric_priors_recover_frequent_outcome(self):
@@ -251,6 +323,12 @@ class TestOptimalArray:
     def test_impossible_counts_get_half(self):
         prior = discrete_prior([(0, HALF), (1, HALF)])
         assert optimal_array(prior, 2).rows == ((HALF,), (0, 1), (0, HALF, 1))
+
+    def test_float_pmfs_that_underflow(self):
+        # both atoms' float pmfs are 0.0 at (4, 2), yet the count is possible
+        array = optimal_array(discrete_prior([(1e-200, 0.5), (1e-190, 0.5)]), 4)
+        assert array.phi(4, 2) == 0
+        assert all(phi == 0 for row in array.rows for phi in row)
 
     def test_argmax_tracks_majority_sign(self):
         # mechanism check: posterior mean sits on the same side of 1/2 as n of k/2
