@@ -15,10 +15,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import accuracy as acc
 from .combinatorics import CoefficientTable
@@ -86,39 +86,54 @@ def parse_prior(spec: str):
     raise ValueError(f"unknown prior kind in {spec!r} (use beta: or discrete:)")
 
 
-def format_number(value, digits: int) -> str:
+def _csv_number(value, spec: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return f"{float(value):.{digits}g}"
+    return spec % float(value)
 
 
-def _to_jsonable(value):
-    # RFC 8259 has no Infinity or NaN: a non-finite float becomes null
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it, by json's own scalar encoders;
+    RFC 8259 has no Infinity or NaN, so a non-finite float becomes null."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
     value = float(value)
-    return value if math.isfinite(value) else None
+    return float.__repr__(value) if math.isfinite(value) else "null"
 
 
 def emit(fmt: str, out: str | None, header: list[str], rows: list[list], digits: int) -> None:
     """Write one table as CSV (header row, '\\n' terminated) or JSON array,
-    to the file ``out``, or to stdout when ``out`` is None."""
+    to the file ``out``, or to stdout when ``out`` is None.
+
+    The JSON is byte for byte ``json.dumps(rows as dicts, indent=2)``, but
+    each row fills one template of ``"    <key>: "`` prefixes instead of
+    going through json's pure-Python indenting encoder."""
     if fmt == "json":
-        payload = [
-            {name: _to_jsonable(value) for name, value in zip(header, row)}
+        prefixes = [f"    {encode_basestring_ascii(name)}: " for name in header]
+        objects = ",\n".join(
+            "  {\n"
+            + ",\n".join(prefix + _json_scalar(value) for prefix, value in zip(prefixes, row))
+            + "\n  }"
             for row in rows
-        ]
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        )
+        text = f"[\n{objects}\n]\n" if rows else "[]\n"
     else:
+        spec = f"%.{digits}g"
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, str) else format_number(cell, digits) for cell in row]
-            )
+        writer.writerows(
+            [cell if isinstance(cell, str) else _csv_number(cell, spec) for cell in row]
+            for row in rows
+        )
         text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)

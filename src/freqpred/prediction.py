@@ -39,8 +39,8 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
-# float posterior means this close to 1/2 count as exact ties
-FLOAT_TIE_TOLERANCE = 1e-14
+# a float posterior mean at row k within (k + 1) times this of 1/2 is a tie
+FLOAT_TIE_TOLERANCE_PER_TRIAL = 2.0**-50
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -277,9 +277,20 @@ def posterior_correct_probability(
     return conditional_accuracy(phi, posterior_mean(prior, stat))
 
 
-def _tie(mean: Weight) -> bool:
+def _tie(mean: Weight, k: int) -> bool:
+    """Whether a posterior mean at row k is a tie, 1/2.
+
+    An exact mean ties only at 1/2 itself.  A float prior's mean is exact
+    for the dyadic values of its atoms, each up to 2**-53 (relative) from
+    the number it stands for, and a likelihood at row k is a product of k
+    such factors: a prior symmetric up to that rounding, like the atoms
+    0.1 and 0.9, moves a tie's mean from 1/2 by up to about k 2**-53.  So
+    the tolerance grows with k, (k + 1) 2**-50, a factor of 8 above that
+    drift; an absolute one loses those ties once k is large enough (1e-14
+    did from k = 408 on).
+    """
     if isinstance(mean, float):
-        return abs(mean - 0.5) <= FLOAT_TIE_TOLERANCE
+        return abs(mean - 0.5) <= (k + 1) * FLOAT_TIE_TOLERANCE_PER_TRIAL
     return mean == HALF
 
 
@@ -302,7 +313,7 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
                 mean = posterior_mean(prior, CountStatistic(k, n))
             except ImpossibleEvidenceError:
                 mean = HALF
-            if _tie(mean):
+            if _tie(mean, k):
                 row.append(HALF)
             elif mean > HALF:
                 row.append(ONE)

@@ -27,13 +27,22 @@ existing ones.  A chunk is the set of replications that share one pass
 of numpy operations.  The default of 2^15 keeps a chunk's working vectors
 (256 KiB each) inside a core's L2 cache: at 280,000 replications and 71
 steps, 2^18-replication chunks ran ~1.7x slower on a 2-vCPU Xeon VM.
+
+The step loop reads each prediction row as runs of counts, not as a
+table: the replications whose running count lies in a run of 1.0
+entries predict one, and those in a run of entries strictly between 0
+and 1 read their prediction slot.  Comparing the counts with a run's
+bounds replaces a gather through the counts.  The counts are kept in the
+narrowest unsigned dtype that holds the horizon (uint8 up to 255, then
+uint16), which every run bound fits too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
+from operator import is_not
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
@@ -287,30 +296,80 @@ def _draw_thetas(
     return values[np.searchsorted(cumulative, u, side="right")]
 
 
-def _phi_rows(
-    array: PredictionArray, horizon: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Rows 0..horizon-1 of ``array`` as the simulator reads them: for the
-    float value phi of each entry, its cutoff, whether phi == 1.0, and
-    whether 0 < phi < 1 (None for a row with no such entry)."""
+def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[list, list]]:
+    """Rows 0..horizon-1 of ``array`` as the simulator reads them: row k as
+    ``(ones, fractional)``, the runs of counts n whose entry phi, as a
+    float, is 1.0, and the runs where 0 < phi < 1, each with its cutoffs.
+
+    A run is a half-open ``[lo, hi)`` range of counts, ``(lo, hi)`` in
+    ``ones`` and ``(lo, hi, cutoffs)`` in ``fractional``; ``cutoffs`` is
+    the one cutoff of a one-cell run, else the row's cutoffs indexed by n.
+    The loop compares the running counts with the bounds, so a row costs
+    one comparison per run: every array this package builds has at most
+    one run of ones, open at the top (frequent-outcome and Bayes-optimal
+    rows rise with n), and at most one tie cell.  The bounds are Python
+    ints no larger than the horizon, so the comparisons run in the counts'
+    own narrow dtype.
+    """
     if array.k_max < horizon - 1:
         raise ValueError(
             f"prediction array covers rows 0..{array.k_max}, "
             f"but horizon {horizon} needs rows 0..{horizon - 1}"
         )
     entries = list(chain.from_iterable(array.rows[:horizon]))
-    # float() each distinct entry object once: frequent_outcome_array's
-    # rows share three constants, and Fraction.__float__ dominates otherwise
-    ids = np.fromiter(map(id, entries), dtype=np.uint64, count=len(entries))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    phi = np.array([float(entries[i]) for i in first])[inverse]
-    cut, ones, fractional = _cutoffs(phi), phi == 1.0, (0.0 < phi) & (phi < 1.0)
     bounds = [k * (k + 1) // 2 for k in range(horizon + 1)]  # row k is bounds[k]:bounds[k + 1]
-    any_fractional = np.logical_or.reduceat(fractional, bounds[:-1]).tolist()
-    return [
-        (cut[lo:hi], ones[lo:hi], fractional[lo:hi] if some else None)
-        for lo, hi, some in zip(bounds, bounds[1:], any_fractional)
-    ]
+    # float() each distinct object once, read at the first entry of each
+    # stretch of one object: frequent_outcome_array's rows share three
+    # constants, and Fraction.__float__ dominates otherwise
+    edge = np.ones(len(entries) + 1, dtype=bool)
+    edge[1:-1] = np.fromiter(map(is_not, islice(entries, 1, None), entries), bool, len(entries) - 1)
+    edge[bounds] = True
+    stretches = np.flatnonzero(edge)
+    firsts = [entries[i] for i in stretches[:-1].tolist()]
+    distinct = dict(zip(map(id, firsts), firsts))
+    floats = {key: float(entry) for key, entry in distinct.items()}
+    phi = np.repeat([floats[key] for key in map(id, firsts)], np.diff(stretches))
+    # 0: phi == 0.0, 1: in between, 2: phi == 1.0
+    kind = (phi > 0.0).view(np.int8) + (phi == 1.0).view(np.int8)
+    np.not_equal(kind[1:], kind[:-1], out=edge[1:-1])
+    edge[bounds] = True
+    starts = np.flatnonzero(edge)  # each run's first entry, then the end of the last
+    runs = np.flatnonzero(kind[starts[:-1]])  # the runs of nonzero entries
+    cut = _cutoffs(phi)
+    rows = [([], []) for _ in range(horizon)]
+    # tolist(): a numpy int64 bound would widen the counts to int64
+    for start, end, row, run_kind in zip(
+        starts[runs].tolist(),
+        starts[runs + 1].tolist(),
+        (np.searchsorted(bounds, starts[runs], side="right") - 1).tolist(),
+        kind[starts[runs]].tolist(),
+    ):
+        first = bounds[row]
+        ones, fractional = rows[row]
+        if run_kind == 2:
+            ones.append((start - first, end - first))
+        else:
+            cuts = cut[start] if end == start + 1 else cut[first : bounds[row + 1]]
+            fractional.append((start - first, end - first, cuts))
+    return rows
+
+
+def _in_run(counts: np.ndarray, lo: int, hi: int, top: int, out: np.ndarray, spare: np.ndarray):
+    """``lo <= counts < hi`` into ``out``, for counts that never exceed
+    ``top``: one comparison unless the run is closed at both ends."""
+    if lo == 0:
+        if hi > top:
+            out.fill(True)
+        else:
+            np.less(counts, hi, out=out)
+    elif hi > top:
+        np.greater_equal(counts, lo, out=out)
+    elif hi == lo + 1:
+        np.equal(counts, lo, out=out)
+    else:
+        np.greater_equal(counts, lo, out=out)
+        np.logical_and(out, np.less(counts, hi, out=spare), out=out)
+    return out
 
 
 def _chunks(total: int, chunk_size: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
@@ -345,23 +404,32 @@ def simulate_accuracy(
     rows = _phi_rows(array, horizon)
     hits = [0] * horizon
     total = config.replications
-    chunks = _chunks(total, chunk_size, np.uint64, np.uint64, np.int64, bool, bool, bool)
-    for reps, (bits, scratch, counts, outcome, predicted, agree) in chunks:
+    # counts never exceed the horizon, and neither does any run bound
+    counts_dtype = np.min_scalar_type(horizon)
+    chunks = _chunks(total, chunk_size, np.uint64, np.uint64, counts_dtype, bool, bool, bool, bool)
+    for reps, (bits, scratch, counts, outcome, predicted, inside, spare) in chunks:
         keys = _keys(config.seed, reps, scratch)
         theta_cut = _cutoffs(_draw_thetas(config.theta_source, keys, bits, scratch))
         counts.fill(0)
-        for k, (phi_cut, ones, split) in enumerate(rows):
+        for k, (ones, fractional) in enumerate(rows):
             np.less(_draws(keys, 1 + k, bits, scratch), theta_cut, out=outcome)
             # m < 2**53, so phi == 1.0 predicts one and phi == 0.0 zero; only
             # the cells in between read their prediction slot
-            np.take(ones, counts, out=predicted, mode="clip")
-            if split is not None:
-                cells = np.flatnonzero(np.take(split, counts, out=agree, mode="clip"))
+            if ones:
+                (lo, hi), *more = ones
+                _in_run(counts, lo, hi, k, predicted, spare)
+                for lo, hi in more:
+                    _in_run(counts, lo, hi, k, inside, spare)
+                    np.logical_or(predicted, inside, out=predicted)
+            else:
+                predicted.fill(False)
+            for lo, hi, cut in fractional:
+                cells = np.flatnonzero(_in_run(counts, lo, hi, k, inside, spare))
                 if cells.size:
                     n = cells.size
                     drawn = _draws(keys[cells], horizon + 2 + k, bits[:n], scratch[:n])
-                    predicted[cells] = drawn < phi_cut[counts[cells]]
-            hits[k] += int(np.count_nonzero(np.equal(predicted, outcome, out=agree)))
+                    predicted[cells] = drawn < (cut if cut.ndim == 0 else cut[counts[cells]])
+            hits[k] += int(np.count_nonzero(np.equal(predicted, outcome, out=inside)))
             np.add(counts, outcome, out=counts)
     steps = []
     for k, h in enumerate(hits):

@@ -25,6 +25,7 @@ from freqpred.prediction import (
     posterior_mean,
     prior_covariance,
 )
+from freqpred.prediction import _tie  # the decision optimal_array makes at each cell
 
 HALF = Fraction(1, 2)
 
@@ -329,6 +330,17 @@ class TestOptimalArray:
         array = optimal_array(discrete_prior([(1e-200, 0.5), (1e-190, 0.5)]), 4)
         assert array.phi(4, 2) == 0
         assert all(phi == 0 for row in array.rows for phi in row)
+
+    def test_float_ties_at_large_k(self):
+        # atoms 0.1 and 0.9 are symmetric only up to rounding, and the tie
+        # mean at (k, k/2) drifts from 1/2 by up to ~k 2**-53: the absolute
+        # 1e-14 tolerance made optimal_array(prior, 420) differ from
+        # frequent_outcome_array(420) in rows 408..420 (building all 420
+        # rows takes ~20 s on 2 vCPUs, so the test reads each tie decision)
+        prior = discrete_prior([(0.1, 0.5), (0.9, 0.5)])
+        for k in range(2, 421, 2):
+            assert _tie(posterior_mean(prior, CountStatistic(k, k // 2)), k)
+            assert not _tie(posterior_mean(prior, CountStatistic(k, k // 2 + 1)), k)
 
     def test_argmax_tracks_majority_sign(self):
         # mechanism check: posterior mean sits on the same side of 1/2 as n of k/2

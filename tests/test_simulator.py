@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,10 @@ from freqpred.simulator import (
     DEFAULT_CHUNK,
     SimulationConfig,
     _beta_quantile,
+    _cutoffs,
+    _draw_thetas,
+    _draws,
+    _keys,
     simulate_accuracy,
     simulate_covariance,
 )
@@ -418,3 +423,100 @@ class TestGolden:
     def test_cli_stdout(self, capsys, theta_or_prior, expected):
         assert cli.main(["simulate", theta_or_prior, "6", "5000", "--seed", "880001"]) == 0
         assert capsys.readouterr().out == expected
+
+
+def gather_loop_hits(
+    config: SimulationConfig, array: PredictionArray, chunk_size: int
+) -> list[int]:
+    """Hits per step by the simulator's earlier loop, kept as the reference:
+    each row as per-count tables (cutoff, phi == 1.0, 0 < phi < 1), read
+    through int64 running counts with np.take."""
+    horizon = config.horizon
+    rows = []
+    for row in array.rows[:horizon]:
+        phi = np.array([float(entry) for entry in row])
+        rows.append((_cutoffs(phi), phi == 1.0, (0.0 < phi) & (phi < 1.0)))
+    hits = [0] * horizon
+    for start in range(0, config.replications, chunk_size):
+        reps = np.arange(start, min(start + chunk_size, config.replications), dtype=np.uint64)
+        bits, scratch = np.empty_like(reps), np.empty_like(reps)
+        keys = _keys(config.seed, reps, scratch)
+        theta_cut = _cutoffs(_draw_thetas(config.theta_source, keys, bits, scratch))
+        counts = np.zeros(reps.size, dtype=np.int64)
+        for k, (phi_cut, ones, split) in enumerate(rows):
+            outcome = _draws(keys, 1 + k, bits, scratch) < theta_cut
+            predicted = np.take(ones, counts)
+            cells = np.flatnonzero(np.take(split, counts))
+            if cells.size:
+                n = cells.size
+                drawn = _draws(keys[cells], horizon + 2 + k, bits[:n], scratch[:n])
+                predicted[cells] = drawn < phi_cut[counts[cells]]
+            hits[k] += int(np.count_nonzero(predicted == outcome))
+            counts += outcome
+    return hits
+
+
+def random_array(k_max: int, seed: int) -> PredictionArray:
+    """Rows of four shapes: cell by cell at random (not monotone in n),
+    decreasing in n, all strictly between 0 and 1, and rising; entries
+    include Fractions that round to 0.0 and 1.0, and floats."""
+    rng = random.Random(seed)
+    pool = [Fraction(0), Fraction(1), TINY, 1 - TINY, Fraction(1, 3), 0.25, 1.0, 0.0]
+
+    def row(k: int) -> tuple:
+        shape = rng.randrange(4)
+        if shape == 0:
+            return tuple(rng.choice(pool) for _ in range(k + 1))
+        if shape == 2:
+            between = [TINY, 1 - TINY, Fraction(rng.randint(1, 96), 97), 0.5]
+            return tuple(rng.choice(between) for _ in range(k + 1))
+        cut = rng.randint(0, k + 1)
+        low, high = (Fraction(1), Fraction(0)) if shape == 1 else (Fraction(0), Fraction(1))
+        cells = [low] * cut + [high] * (k + 1 - cut)
+        if cut <= k and rng.random() < 0.5:
+            cells[cut] = Fraction(rng.randint(1, 96), 97)
+        return tuple(cells)
+
+    return PredictionArray(tuple(row(k) for k in range(k_max + 1)))
+
+
+ORACLE_SOURCES = {
+    "fixed-0": 0,
+    "fixed-1/2": HALF,
+    "fixed-1": 1.0,
+    "beta-2-3": beta_prior(2, 3),
+    "beta-1/2-7/2": beta_prior(HALF, Fraction(7, 2)),
+    "atoms-0-3/10-1": discrete_prior(
+        [(0, Fraction(1, 4)), (Fraction(3, 10), Fraction(1, 4)), (1, HALF)]
+    ),
+}
+
+
+class TestGatherOracle:
+    """The run-comparison loop gives the hits of the earlier per-count
+    lookup loop on every array, source and chunk size."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 12_347, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("source", sorted(ORACLE_SOURCES))
+    @pytest.mark.parametrize(
+        "array",
+        [random_array(12, seed) for seed in range(4)]
+        + [frequent_outcome_array(12), laplace_array(12), mixed_array(12), all_ones_array(12)],
+        ids=["random0", "random1", "random2", "random3", "frequent", "laplace", "mixed", "ones"],
+    )
+    def test_same_hits(self, array, source, chunk_size):
+        # three chunks of 12,347; one-replication chunks cost ~1 ms each
+        replications = 60 if chunk_size == 1 else 30_000
+        config = SimulationConfig(ORACLE_SOURCES[source], 12, replications, 4_242)
+        report = simulate_accuracy(config, array, chunk_size=chunk_size)
+        assert [step.hits for step in report.steps] == gather_loop_hits(config, array, chunk_size)
+
+    @pytest.mark.parametrize("source", ["fixed-1/2", "fixed-1", "atoms-0-3/10-1"])
+    @pytest.mark.parametrize(
+        "array", [frequent_outcome_array(300), random_array(300, 9)], ids=["frequent", "random"]
+    )
+    def test_counts_past_255(self, array, source):
+        # at theta = 1 the running counts reach 300, past what 8 bits hold
+        config = SimulationConfig(ORACLE_SOURCES[source], 300, 2_000, 4_243)
+        hits = [step.hits for step in simulate_accuracy(config, array).steps]
+        assert hits == gather_loop_hits(config, array, DEFAULT_CHUNK)
