@@ -17,11 +17,9 @@ Every ``pi_k`` is a polynomial in theta with integer coefficients, so at
 exactly such a p/d (its dyadic value).  ``bin_pmf``, ``h_function``, the
 direct, recursive, condensed and expanded routes and the curve build that
 integer and divide once, by the rounding rule of ``combinatorics._number``;
-the threshold search compares it with the target.  Only the t-table runs
-in floats for a float theta, because its exact form grows too fast; it
-stays within 1e-12 of the exact value.  The condensed route is one
-numerator over ``d^(2a+2)``, its Catalan partial sum from
-``combinatorics._catalan_terms``.
+the threshold search compares it with the target, and the t-table rounds
+a certified floor of it (below).  The condensed route is one numerator
+over ``d^(2a+2)``, its Catalan sum from ``combinatorics._catalan_terms``.
 
 The plateau increments are summed as integers, with no gcd per term.
 ``_plateau_numerators`` yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
@@ -29,8 +27,9 @@ The plateau increments are summed as integers, with no gcd per term.
     S_0 = d^2 + (d-2p)^2,   S_a = d^2 S_(a-1) + C(2a, a) (p(d-p))^a (d-2p)^2,
 
 and is the one plateau stream behind ``accuracy_recursive``,
-``accuracy_curve`` and ``threshold_k``.  The exact t-table runs its dynamic
-program on integers, row k scaled by ``2 d^(2k)``.
+``accuracy_curve`` and ``threshold_k``.  The t-table runs its dynamic
+program on integers, row k scaled by ``2 d^(2k)``, or, on a float theta,
+floored back to one fixed scale after each step.
 """
 
 from __future__ import annotations
@@ -64,20 +63,13 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-
-
-def _checked(theta: Theta) -> Theta:
-    """Validate range and lift exact inputs (int) to Fraction."""
-    if not 0 <= theta <= 1:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if isinstance(theta, int):
-        return Fraction(theta)
-    return theta
+_GUARD_BITS = 64  # of a float t-table, past the 2 bitlength(k) its floors can lose
 
 
 def _ratio(theta: Theta) -> tuple[int, int, bool]:
-    """(p, d, as_float) with theta = p/d exactly; a float is its dyadic value."""
-    theta = _checked(theta)
+    """(p, d, as_float) with theta = p/d in [0, 1]; a float is its dyadic value."""
+    if not 0 <= theta <= 1:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
     p, d = theta.as_integer_ratio()
     return p, d, isinstance(theta, float)
 
@@ -190,50 +182,65 @@ def _t_next_row(row: list, k: int, weights: tuple) -> list:
     return [downs[0], *(u + v for u, v in zip(ups, downs[1:])), ups[-1]]
 
 
+def _t_bits(k_max: int) -> int:
+    """b: a float theta's table holds its cells times 2^(b+1)."""
+    return _GUARD_BITS + 2 * k_max.bit_length()
+
+
 def _t_rows(theta: Theta, k_max: int) -> Iterator[list]:
     """Rows 0..k_max of the count-cell table, started from T(0,0) = 1/2.
 
-    Float theta runs on the weights themselves.  Exact theta = p/d runs on
-    integers: every weight times d^2, so row k holds the cells times
-    2 d^(2k) and starts from [1].
+    On theta = p/d every weight is taken times d^2, so row k holds the
+    cells times 2 d^(2k), from [1].  A float's d is 2^e, and its rows are
+    floored back by d^2 after each step, so they hold lower bounds of the
+    cells times 2^(b+1), b = ``_t_bits(k_max)``, from [2^b].
     """
-    if isinstance(theta, float):
-        weights = (theta, 1 - theta, theta * theta * 2, (1 - theta) * (1 - theta) * 2)
-        row = [0.5]
-    else:
-        p, d = theta.as_integer_ratio()
-        q = d - p
-        weights = (p * d, q * d, 2 * p * p, 2 * q * q)
-        row = [1]
+    p, d, as_float = _ratio(theta)
+    q = d - p
+    weights = (p * d, q * d, 2 * p * p, 2 * q * q)
+    shift = 2 * (d.bit_length() - 1)
+    row = [1 << _t_bits(k_max)] if as_float else [1]
     yield row
     for j in range(k_max):
         row = _t_next_row(row, j, weights)
+        if as_float:
+            row = [v >> shift for v in row]
         yield row
 
 
-def _t_pi(theta: Theta, k: int, row: list) -> Theta:
-    """pi_k from row k of ``_t_rows``."""
-    if isinstance(theta, float):
-        return sum(row)
-    return Fraction(sum(row), 2 * theta.denominator ** (2 * k))
+def _t_pi(theta: Theta, k: int, row: list, k_max: int) -> Theta:
+    """pi_k from row k of ``_t_rows(theta, k_max)``.
+
+    A floor loses under one unit, and a lost unit adds under two to any
+    later row sum (mass grows only at a tie cell, and from there the table
+    repeats the one from T(0,0) = 1/2, whose rows sum to at most 1), so a
+    float row k sums to under k(k+3) units below its exact value.  Where
+    both ends round alike, that is pi_k; elsewhere the exact table decides.
+    """
+    low = sum(row)
+    if not isinstance(theta, float):
+        return Fraction(low, 2 * theta.denominator ** (2 * k))
+    scale = 2 << _t_bits(k_max)
+    pi = low / scale
+    if pi == (low + k * (k + 3)) / scale:
+        return pi
+    return float(accuracy_t_table(k, Fraction(theta)))
 
 
 def accuracy_t_table(k: int, theta: Theta) -> Theta:
     """pi_k via the count-cell dynamic program started from T(0,0) = 1/2."""
     if k < 0:
         raise ValueError(f"trial count must be >= 0, got {k}")
-    theta = _checked(theta)
     for row in _t_rows(theta, k):
         pass
-    return _t_pi(theta, k, row)
+    return _t_pi(theta, k, row, k)
 
 
 def t_table_accuracies(theta: Theta, k_max: int) -> list:
     """[pi_0, ..., pi_k_max] from a single table build (one pass, O(k_max^2))."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    theta = _checked(theta)
-    return [_t_pi(theta, k, row) for k, row in enumerate(_t_rows(theta, k_max))]
+    return [_t_pi(theta, k, row, k_max) for k, row in enumerate(_t_rows(theta, k_max))]
 
 
 def accuracy_recursive(k: int, theta: Theta) -> Theta:
@@ -313,8 +320,8 @@ def accuracy_expanded(k: int, theta: Theta) -> Theta:
 
 def ideal_accuracy(theta: Theta) -> Theta:
     """Limiting accuracy max(theta, 1-theta): prediction with theta known."""
-    theta = _checked(theta)
-    return max(theta, 1 - theta)
+    p, d, as_float = _ratio(theta)
+    return _number(max(p, d - p), d, as_float)
 
 
 class CurvePoint(NamedTuple):
@@ -360,12 +367,11 @@ def threshold_k(theta: Theta, target: Theta) -> int | None:
     plateau pairs on the exact (dyadic, for floats) values of theta and
     the target, so the first k that crosses the target is always odd.
     """
-    theta = _checked(theta)
+    p, d, _ = _ratio(theta)
     if not 0 <= target <= 1:
         raise ValueError(f"target must lie in [0, 1], got {target}")
     if target <= HALF:
         return 0
-    p, d = theta.as_integer_ratio()
     ideal = Fraction(max(p, d - p), d)
     if target > ideal:
         return None

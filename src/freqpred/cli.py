@@ -168,11 +168,8 @@ def cmd_accuracy(args):
     else:
         names = [args.path]
     values = {name: ACCURACY_PATHS[name](k, theta) for name in names}
-    if isinstance(theta, Fraction):
-        agree = len(set(values.values())) == 1
-    else:
-        spread = max(values.values()) - min(values.values())
-        agree = spread <= 1e-12
+    # every route is exact, or the exact value rounded once: equal or wrong
+    agree = len(set(values.values())) == 1
     rows = [[k, args.theta, name, values[name], agree] for name in names]
     return ["k", "theta", "path", "pi", "agree"], rows, 0 if agree else 1
 

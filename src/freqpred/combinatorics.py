@@ -4,10 +4,10 @@ algebra behind the expanded accuracy polynomials.
 
 The integer functions return exact Python integers.  ``catalan_series``
 follows the package's one rounding rule, ``_number``; ``catalan_gf``
-always returns a float.  ``Fraction`` is the canonical carrier for exact probabilities throughout
-the package: it keeps gcd-reduced numerator/denominator pairs with a
-positive denominator, which is exactly the invariant the rest of the code
-relies on.
+always returns a float.  ``Fraction`` is the canonical carrier for exact
+probabilities throughout the package: it keeps gcd-reduced
+numerator/denominator pairs with a positive denominator, which is exactly
+the invariant the rest of the code relies on.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ def _number(num: int, den: int, as_float: bool) -> float | Fraction:
     rounded, the same bits as ``float(Fraction(num, den))``, for integers
     of any size, and does not underflow where a product of float factors
     would.  The kernels that end here: ``catalan_series``; in ``accuracy``,
-    ``bin_pmf``, ``h_function``, the direct, recursive, condensed and
-    expanded routes and the curve; in ``prediction``, the discrete-prior
-    ``posterior_mean``.
+    ``bin_pmf``, ``h_function``, ``ideal_accuracy``, the curve and all five
+    routes (the t-table on both ends of its certified floor); in
+    ``prediction``, the discrete-prior ``posterior_mean``.
     """
     return num / den if as_float else Fraction(num, den)
 

@@ -378,6 +378,8 @@ def _chunks(total: int, chunk_size: int, *dtypes) -> Iterator[tuple[np.ndarray, 
     makes no chunk-sized temporaries: glibc serves those from freshly
     mapped pages, which fault on first touch.  The last chunk, which may be
     shorter, gets views of the buffers' first entries."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     size = min(chunk_size, total)
     buffers = [np.empty(size, dtype) for dtype in dtypes]
     for start in range(0, total, chunk_size):
@@ -398,8 +400,6 @@ def simulate_accuracy(
     and a hit is recorded when prediction and outcome agree.  ``chunk_size``
     only bounds memory; it never changes the result.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     horizon = config.horizon
     rows = _phi_rows(array, horizon)
     hits = [0] * horizon
@@ -464,17 +464,13 @@ def simulate_covariance(
     theta); the reported standard error is the plug-in error of the mean
     cross-deviation term.
     """
-    _check_theta_source(prior)
     if i == j:
         raise ValueError("covariance requires two distinct trial indices")
     if i < 1 or j < 1:
         raise ValueError(f"trial indices start at 1 (slot 0 draws theta), got i={i}, j={j}")
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    SimulationConfig(prior, max(i, j), replications, seed)  # checks the source and seed
     sum_x = sum_y = sum_xy = 0
     chunks = _chunks(replications, chunk_size, np.uint64, np.uint64, bool, bool)
     for reps, (bits, scratch, x, y) in chunks:

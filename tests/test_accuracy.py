@@ -26,6 +26,7 @@ from freqpred.accuracy import (
     t_table_accuracies,
     threshold_k,
 )
+from freqpred import accuracy
 from freqpred.combinatorics import binomial
 
 HALF = Fraction(1, 2)
@@ -416,3 +417,44 @@ class TestFloatRounding:
         value = accuracy_condensed(k, theta)
         assert value == accuracy_recursive(k, theta)
         assert value == float(accuracy_condensed(k, Fraction(theta)))
+
+    @pytest.mark.parametrize("theta", ROUNDING_THETAS)
+    def test_t_table_rounds_the_exact_dyadic_value(self, theta):
+        exact = t_table_accuracies(Fraction(theta), 60)
+        assert t_table_accuracies(theta, 60) == [float(pi) for pi in exact]
+        for k in range(61):
+            assert accuracy_t_table(k, theta) == float(exact[k]), k
+
+    def test_t_table_large_k(self):
+        # the exact t-table at k = 1100 takes ~20 s; the recursive route is exact too
+        theta, k = 0.45, 1100
+        assert accuracy_t_table(k, theta) == float(accuracy_recursive(k, Fraction(theta)))
+
+    @given(st.integers(0, 300), st.floats(0, 1))
+    @example(300, 0.0)
+    @example(300, 0.5)
+    @example(299, 1.0)
+    @example(300, 5e-324)
+    @example(1, 5e-324)
+    @settings(max_examples=100, deadline=None)
+    def test_float_t_table_is_the_exact_value_rounded_once(self, k, theta):
+        assert accuracy_t_table(k, theta) == accuracy_recursive(k, theta)
+
+    @pytest.mark.parametrize("theta", [0.001, 0.3, 0.45, 0.4731, 0.499])
+    @pytest.mark.parametrize("guard_bits", [0, 48])
+    def test_uncertified_rows_fall_back_to_the_exact_table(self, theta, guard_bits, monkeypatch):
+        # with few guard bits the floor's enclosure rarely decides the float;
+        # at 48 it decides some rows, where a too narrow enclosure would show
+        exact_calls = []
+        route = accuracy.accuracy_t_table
+
+        def counted(k, value):
+            exact_calls.append(k)
+            return route(k, value)
+
+        monkeypatch.setattr(accuracy, "_GUARD_BITS", guard_bits)
+        monkeypatch.setattr(accuracy, "accuracy_t_table", counted)
+        exact = [float(accuracy_recursive(k, Fraction(theta))) for k in range(61)]
+        assert accuracy.t_table_accuracies(theta, 60) == exact
+        assert len(exact_calls) > 30
+        assert [route(k, theta) for k in range(61)] == exact

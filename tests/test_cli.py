@@ -94,6 +94,24 @@ class TestAccuracy:
         assert code == 1
         assert all(r[4] == "false" for r in rows)
 
+    def test_decimal_theta_agrees_to_the_last_bit(self, capsys):
+        code, out, _ = run(capsys, ["accuracy", "60", "0.4731", "--digits", "17"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert len(rows) == 5
+        assert len({r[3] for r in rows}) == 1
+        assert all(r[4] == "true" for r in rows)
+
+    def test_one_ulp_disagreement_exits_nonzero(self, capsys, monkeypatch):
+        route = cli.ACCURACY_PATHS["direct"]
+        monkeypatch.setitem(
+            cli.ACCURACY_PATHS, "direct", lambda k, t: math.nextafter(route(k, t), 1.0)
+        )
+        code, out, _ = run(capsys, ["accuracy", "60", "0.4731"])
+        _, rows = parse_csv(out)
+        assert code == 1
+        assert all(r[4] == "false" for r in rows)
+
     def test_bad_theta(self, capsys):
         code, _, err = run(capsys, ["accuracy", "4", "1.2"])
         assert code == 1 and "0, 1" in err

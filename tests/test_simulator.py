@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from freqpred import cli
-from freqpred.accuracy import accuracy_recursive
+from freqpred.accuracy import accuracy_recursive, bin_pmf
 from freqpred.prediction import (
     PredictionArray,
     beta_prior,
+    conditional_accuracy,
     discrete_prior,
     frequent_outcome_array,
+    optimal_array,
     prior_covariance,
 )
 from freqpred.simulator import (
@@ -194,6 +196,35 @@ class TestPriorDrawnTheta:
         report = simulate_accuracy(config, all_ones_array(6))
         for step in report.steps:
             assert abs(step.estimate - 0.5) <= 3 * step.stderr
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            # 37 cells of its optimal array differ from the frequent-outcome rule
+            [
+                (Fraction(1, 5), HALF),
+                (Fraction(3, 5), Fraction(1, 4)),
+                (Fraction(9, 10), Fraction(1, 4)),
+            ],
+            # ties off the middle, at n = (k + 1) / 2 for odd k
+            [(Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))],
+        ],
+    )
+    def test_optimal_array_under_its_asymmetric_prior(self, atoms):
+        prior = discrete_prior(atoms)
+        array = optimal_array(prior, 30)
+        assert array != frequent_outcome_array(30)
+        config = SimulationConfig(theta_source=prior, horizon=30, replications=200_000, seed=11)
+        for step in simulate_accuracy(config, array).steps:
+            k = step.k
+            exact = sum(
+                weight * sum(
+                    bin_pmf(n, k, theta) * conditional_accuracy(array.phi(k, n), theta)
+                    for n in range(k + 1)
+                )
+                for theta, weight in prior.atoms
+            )
+            assert abs(step.estimate - float(exact)) <= 4 * step.stderr, k
 
 
 class TestCovariance:
