@@ -103,8 +103,6 @@ def _json_scalar(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if value is None:
-        return "null"
     value = float(value)
     return float.__repr__(value) if math.isfinite(value) else "null"
 

@@ -46,11 +46,7 @@ def _number(num: int, den: int, as_float: bool) -> float | Fraction:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k), zero-extended to 0 for k < 0 or k > n.
-
-    The zero extension lets coefficient sums run over unrestricted index
-    ranges without boundary special cases.
-    """
+    """C(n, k), zero-extended to 0 for k < 0 or k > n."""
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -73,6 +69,8 @@ def w_coefficient(i: int, j: int) -> int:
     Zero outside 0 <= j <= i.  These are the coefficients produced by
     expanding C_{i-1} (1 - t)^i with the binomial theorem, and they obey
     the diagonal identity sum_{i<=t} W(i, t-i) = 1 iff t = 1, else 0.
+    The reference for that identity; ``alpha_row`` sums the same terms
+    by Horner's rule and does not call it.
     """
     if i < 1:
         raise ValueError(f"w_coefficient requires i >= 1, got i={i}")
@@ -94,6 +92,12 @@ def alpha_row(a: int) -> tuple[int, ...]:
     uniform ``1 - t - sum alpha`` layout for every a.  Each row satisfies
     sum_t alpha(a, t) = -1, forced by the polynomial equalling 1 at t=1.
 
+    Order of evaluation: sum_i W(i, s-i) is the theta^s coefficient of
+    sum_{i<=a} C_{i-1} x^i + 2(a+1) C_a x^(a+1), x = theta - theta^2, so
+    the row is the tail of that polynomial, built by Horner's rule in x
+    on theta-coefficient lists: c + x q = [c, q_0, q_1 - q_0, ..., -q_m].
+    The 1 taken off at theta^1 reaches the row only when a = 0.
+
     Note on the classical tabulation: the entry at (a=5, t=1) is often
     printed as 426, which breaks the row-sum identity (that row then sums
     to -37).  The sum above gives 462 -- a digit transposition away --
@@ -101,14 +105,12 @@ def alpha_row(a: int) -> tuple[int, ...]:
     """
     if a < 0:
         raise ValueError(f"alpha_row requires a >= 0, got a={a}")
-    row = []
-    for t in range(1, a + 3):
-        total = sum(w_coefficient(i, a + t - i) for i in range(1, a + 1))
-        total += 2 * (a + 1) * w_coefficient(a + 1, t - 1)
-        if a == 0 and t == 1:
-            total -= 1
-        row.append(total)
-    return tuple(row)
+    poly = [2 * (a + 1) * catalan(a)]
+    for i in range(a, -1, -1):
+        shifted = [q - p for p, q in zip(poly, poly[1:])]
+        poly = [catalan(i - 1) if i else 0, poly[0], *shifted, -poly[-1]]
+    poly[1] -= 1
+    return tuple(poly[a + 1 :])
 
 
 def alpha_coefficient(a: int, t: int) -> int:

@@ -170,6 +170,34 @@ class TestPathAgreement:
         for k in (0, 1, 5, 12):
             assert sums[k] == accuracy_t_table(k, theta)
 
+    def test_expanded_matches_recursive_at_large_k(self):
+        # plateau a = 1499: a coefficient row of 1501 integers
+        theta = Fraction(9, 20)
+        assert accuracy_expanded(3000, theta) == accuracy_recursive(3000, theta)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: h_function(-1, HALF),
+            lambda: accuracy_direct(-1, HALF),
+            lambda: accuracy_t_table(-1, HALF),
+            lambda: t_table_accuracies(HALF, -1),
+            lambda: accuracy_recursive(-1, HALF),
+            lambda: pi_polynomial(-1),
+        ],
+        ids=[
+            "h_function",
+            "accuracy_direct",
+            "accuracy_t_table",
+            "t_table_accuracies",
+            "accuracy_recursive",
+            "pi_polynomial",
+        ],
+    )
+    def test_negative_count_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestPolynomial:
     def test_printed_list(self):

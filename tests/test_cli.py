@@ -116,6 +116,11 @@ class TestAccuracy:
         code, _, err = run(capsys, ["accuracy", "4", "1.2"])
         assert code == 1 and "0, 1" in err
 
+    def test_unparsable_theta(self, capsys):
+        code, out, err = run(capsys, ["accuracy", "5", "abc"])
+        assert code == 1 and out == ""
+        assert "cannot parse probability" in err
+
     def test_decimal_theta_past_float_binomial_range(self, capsys):
         code, out, _ = run(capsys, ["accuracy", "1100", "0.45"])
         _, rows = parse_csv(out)
@@ -196,6 +201,19 @@ class TestPosterior:
     def test_bad_prior_spec(self, capsys):
         code, _, err = run(capsys, ["posterior", "gamma:1,1", "2", "1"])
         assert code == 1 and "prior" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("beta:x,2", "cannot parse number"),
+            ("beta:1", "beta prior needs two parameters"),
+            ("discrete:1/2", "must look like v=w"),
+        ],
+    )
+    def test_malformed_prior_spec(self, capsys, spec, message):
+        code, out, err = run(capsys, ["posterior", spec, "4", "3"])
+        assert code == 1 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv", [["discrete:1=1", "3", "3"], ["discrete:0=1/2,1=1/2", "4", "4"]]

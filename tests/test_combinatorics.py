@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, pi, sqrt
+from math import comb, factorial, pi, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freqpred import combinatorics
 from freqpred.combinatorics import (
     CoefficientTable,
     _catalan_terms,
@@ -31,6 +32,18 @@ def catalan_oracle(n: int) -> int:
     # (2i-2)! / (i! (i-1)!) evaluated at i = n + 1
     i = n + 1
     return factorial(2 * i - 2) // (factorial(i) * factorial(i - 1))
+
+
+def alpha_row_reference(a: int) -> tuple[int, ...]:
+    """The W-sum of the alpha_row docstring, one term at a time."""
+    row = []
+    for t in range(1, a + 3):
+        total = sum(w_coefficient(i, a + t - i) for i in range(1, a + 1))
+        total += 2 * (a + 1) * w_coefficient(a + 1, t - 1)
+        if a == 0 and t == 1:
+            total -= 1
+        row.append(total)
+    return tuple(row)
 
 
 class TestBinomial:
@@ -141,6 +154,49 @@ class TestAlphaCoefficient:
     def test_row_length(self):
         for a in range(11):
             assert len(alpha_row(a)) == a + 2
+
+
+class TestAlphaRowKernel:
+    """The Horner kernel against the W-sum it evaluates in another order."""
+
+    def test_matches_the_w_sum(self):
+        for a in range(151):
+            assert alpha_row(a) == alpha_row_reference(a), a
+
+    @pytest.mark.parametrize("a", [400, 1499])
+    def test_identities_at_large_a(self, a):
+        row = alpha_row(a)
+        assert len(row) == a + 2
+        assert sum(row) == -1
+        assert row[0] == comb(2 * a + 1, a)
+        assert row[-1] == (-1) ** (a + 1) * 2 * comb(2 * a, a)
+
+    def test_one_comb_call_per_catalan_number(self, monkeypatch):
+        calls = []
+
+        def counting_comb(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+
+        monkeypatch.setattr(combinatorics, "comb", counting_comb)
+        catalan.cache_clear()
+        alpha_row.__wrapped__(200)
+        # C_0 .. C_200; the W-sum made 10,403
+        assert len(calls) <= 201
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha_row(-1),
+        lambda: alpha_coefficient(-1, 1),
+        lambda: catalan_series(Fraction(1, 5), -1),
+    ],
+    ids=["alpha_row", "alpha_coefficient", "catalan_series"],
+)
+def test_negative_index_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestCoefficientTable:

@@ -165,6 +165,24 @@ class TestPrior:
         with pytest.raises(ValueError, match="positive and finite"):
             beta_prior(alpha, beta)
 
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (("beta", 1, 1), {"atoms": ((HALF, Fraction(1)),)}),
+            (("discrete",), {"alpha": 1, "atoms": ((HALF, Fraction(1)),)}),
+            (("gamma", 1, 1), {}),
+            (("discrete",), {"atoms": ((0.4, 0.5), (0.6, 0.4))}),
+        ],
+        ids=["beta-with-atoms", "discrete-with-alpha", "unknown-kind", "float-weights-sum-0.9"],
+    )
+    def test_direct_construction_rejected(self, args, kwargs):
+        with pytest.raises(ValueError):
+            Prior(*args, **kwargs)
+
+    def test_almost_uniform_beta_is_the_symmetric_beta(self):
+        assert beta_prior(2, 2).is_almost_uniform
+        assert not beta_prior(2, 3).is_almost_uniform
+
     def test_direct_construction_is_exact(self):
         prior = Prior("beta", 2, 3)
         assert prior == beta_prior(2, 3)
@@ -290,6 +308,16 @@ class TestPosteriorCorrectProbability:
             phi, beta_prior(Fraction(2), Fraction(2)), CountStatistic(k, n)
         )
         assert abs(num / den - float(direct)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: frequent_outcome_array(-1), lambda: optimal_array(beta_prior(1, 1), -1)],
+    ids=["frequent_outcome_array", "optimal_array"],
+)
+def test_negative_k_max_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestOptimalArray:

@@ -232,6 +232,10 @@ class TestCovariance:
         with pytest.raises(ValueError):
             simulate_covariance(beta_prior(1, 1), 2, 2, 1000, 1)
 
+    def test_requires_two_replications(self):
+        with pytest.raises(ValueError, match="at least 2 replications"):
+            simulate_covariance(beta_prior(1, 1), 1, 2, 1, 1)
+
     def test_degenerate_prior_gives_independence(self):
         prior = discrete_prior([(HALF, Fraction(1))])
         result = simulate_covariance(prior, 1, 2, 100_000, 8)
