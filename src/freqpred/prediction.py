@@ -232,22 +232,29 @@ def discrete_prior(atoms) -> Prior:
 def posterior_mean(prior: Prior, stat: CountStatistic) -> Weight:
     """E[theta | n ones in k trials] under the prior.
 
-    Beta priors use the conjugate closed form (alpha + n)/(alpha + beta + k).
-    A discrete prior is one integer kernel.  With atom values a_i/b_i and
-    weights c_i/e_i, the likelihood-weighted mass of atom i is, up to the
-    common factor C(k, n) / (B^k E),
+    Beta priors use the conjugate closed form (alpha + n)/(alpha + beta + k),
+    as one integer ratio: with alpha = a/b and beta = c/e it is
+    (a + n b) e / ((a + n b) e + (c + (k - n) e) b).  A discrete prior is
+    one integer kernel.  With atom values a_i/b_i and weights c_i/e_i, the
+    likelihood-weighted mass of atom i is, up to the common factor
+    C(k, n) / (B^k E),
 
         t_i = c_i (E/e_i) a_i^n (b_i - a_i)^(k-n) (B/b_i)^k,
 
     with B and E the least common multiples of the b_i and of the e_i.  The
-    mean sum_i a_i (B/b_i) t_i / (B sum_i t_i) is divided once, by the
-    rounding rule of ``combinatorics._number``: a float atom value or
-    weight is taken at its dyadic value, so a float prior's mean is the
-    exact one rounded once and never underflows at large k.
+    mean sum_i a_i (B/b_i) t_i / (B sum_i t_i) is divided once.  Both
+    kinds end in the rounding rule of ``combinatorics._number``: a float
+    parameter, atom value or weight is taken at its dyadic value, so a
+    float prior's mean is the exact one rounded once and never underflows
+    at large k.
     """
-    if prior.kind == "beta":
-        return (prior.alpha + stat.n) / (prior.alpha + prior.beta + stat.k)
     k, n = stat
+    if prior.kind == "beta":
+        a, b = prior.alpha.as_integer_ratio()
+        c, e = prior.beta.as_integer_ratio()
+        num = (a + n * b) * e
+        as_float = isinstance(prior.alpha, float) or isinstance(prior.beta, float)
+        return _number(num, num + (c + (k - n) * e) * b, as_float)
     values = [value.as_integer_ratio() for value, _ in prior.atoms]
     weights = [weight.as_integer_ratio() for _, weight in prior.atoms]
     b_all = math.lcm(*(b for _, b in values))
@@ -278,20 +285,34 @@ def posterior_correct_probability(
 
 
 def _tie(mean: Weight, k: int) -> bool:
-    """Whether a posterior mean at row k is a tie, 1/2.
+    """Whether a discrete prior's posterior mean at row k is a tie, 1/2.
 
-    An exact mean ties only at 1/2 itself.  A float prior's mean is exact
-    for the dyadic values of its atoms, each up to 2**-53 (relative) from
-    the number it stands for, and a likelihood at row k is a product of k
-    such factors: a prior symmetric up to that rounding, like the atoms
-    0.1 and 0.9, moves a tie's mean from 1/2 by up to about k 2**-53.  So
-    the tolerance grows with k, (k + 1) 2**-50, a factor of 8 above that
-    drift; an absolute one loses those ties once k is large enough (1e-14
-    did from k = 408 on).
+    Beta priors never come here: :func:`optimal_array` decides their rows
+    exactly from the closed form.  An exact mean ties only at 1/2 itself.
+    A float prior's mean is exact for the dyadic values of its atoms, each
+    up to 2**-53 (relative) from the number it stands for, and a likelihood
+    at row k is a product of k such factors: a prior symmetric up to that
+    rounding, like the atoms 0.1 and 0.9, moves a tie's mean from 1/2 by up
+    to about k 2**-53.  So the tolerance grows with k, (k + 1) 2**-50, a
+    factor of 8 above that drift; an absolute one loses those ties once k
+    is large enough (1e-14 did from k = 408 on).
     """
     if isinstance(mean, float):
         return abs(mean - 0.5) <= (k + 1) * FLOAT_TIE_TOLERANCE_PER_TRIAL
     return mean == HALF
+
+
+def _beta_row(k: int, num: int, den: int) -> tuple[Fraction, ...]:
+    """Row k under a beta prior with beta - alpha = num/den, den > 0.
+
+    The posterior mean (alpha + n)/(alpha + beta + k) is above 1/2 iff
+    2n > k + beta - alpha, that is iff 2 den n > k den + num: the cells
+    below that boundary are 0, a cell on it is 1/2, the cells above are 1.
+    """
+    cut, rest = divmod(k * den + num, 2 * den)  # the boundary n = cut + rest/(2 den)
+    zeros = min(max(cut + (rest > 0), 0), k + 1)
+    tie = int(rest == 0 and 0 <= cut <= k)
+    return (ZERO,) * zeros + (HALF,) * tie + (ONE,) * (k + 1 - zeros - tie)
 
 
 def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
@@ -302,9 +323,21 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
     also gets 1/2: it is never observed, and on it every action scores
     the same.  For symmetric non-degenerate priors this reproduces
     :func:`frequent_outcome_array` entry for entry.
+
+    A beta prior needs no posterior mean: by conjugacy the mean
+    (alpha + n)/(alpha + beta + k) exceeds 1/2 iff 2n > k + beta - alpha,
+    so each row is a run of zeros, at most one 1/2 and a run of ones, cut
+    by one integer division.  The comparison is exact, on the dyadic value
+    of a float parameter, so a float beta(a, b) gives the array of
+    beta(Fraction(a), Fraction(b)).  A discrete prior is decided cell by
+    cell from its posterior means (see ``_tie``).
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if prior.kind == "beta":
+        num, den = (Fraction(prior.beta) - Fraction(prior.alpha)).as_integer_ratio()
+        rows = tuple(_beta_row(k, num, den) for k in range(k_max + 1))
+        return PredictionArray._trusted(rows)
     rows = []
     for k in range(k_max + 1):
         row = []

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
+from freqpred import prediction
 from freqpred.accuracy import bin_pmf
 from freqpred.prediction import (
     CountStatistic,
@@ -40,6 +41,21 @@ def posterior_mean_reference(prior: Prior, stat: CountStatistic) -> Fraction:
     if marginal == 0:
         raise ImpossibleEvidenceError(f"count {stat} has zero probability")
     return sum(v * w for v, w in weighted) / marginal
+
+
+def optimal_array_reference(prior: Prior, k_max: int) -> PredictionArray:
+    """The cell-by-cell build: one posterior mean per cell, decided by ``_tie``."""
+    rows = []
+    for k in range(k_max + 1):
+        row = []
+        for n in range(k + 1):
+            try:
+                mean = posterior_mean(prior, CountStatistic(k, n))
+            except ImpossibleEvidenceError:
+                mean = HALF
+            row.append(HALF if _tie(mean, k) else Fraction(int(mean > HALF)))
+        rows.append(tuple(row))
+    return PredictionArray(tuple(rows))
 
 
 def outcome(prior: Prior, stat: CountStatistic, mean=posterior_mean):
@@ -283,6 +299,25 @@ class TestPosteriorMean:
             assert outcome(prior, stat) == expected
 
 
+    def test_float_beta_mean_rounds_once(self):
+        # three float roundings gave 0.574635994271063
+        prior = beta_prior(7.261267488450687, 5.2810178494803575)
+        assert posterior_mean(prior, CountStatistic(195, 112)) == 0.5746359942710632
+
+    @given(
+        st.floats(0.01, 10), st.floats(0.01, 10), st.integers(0, 200).flatmap(
+            lambda k: st.tuples(st.just(k), st.integers(0, k))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_beta_is_its_dyadic_value_rounded_once(self, alpha, beta, count):
+        stat = CountStatistic(*count)
+        mean = posterior_mean(beta_prior(alpha, beta), stat)
+        exact = posterior_mean(beta_prior(Fraction(alpha), Fraction(beta)), stat)
+        assert isinstance(mean, float)
+        assert mean == float(exact)
+
+
 class TestPosteriorCorrectProbability:
     def test_coin_flip(self):
         assert posterior_correct_probability(HALF, beta_prior(3, 1), CountStatistic(5, 2)) == HALF
@@ -394,6 +429,51 @@ class TestOptimalArray:
                             assert other == best == HALF
                         elif phi != array.phi(k, n):
                             assert other < best
+
+
+class TestBetaOptimalArray:
+    """Beta rows from the boundary 2n = k + beta - alpha, not per-cell means."""
+
+    @given(
+        st.fractions(Fraction(1, 8), 12, max_denominator=8),
+        st.fractions(Fraction(1, 8), 12, max_denominator=8),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cell_by_cell_reference(self, alpha, beta, k_max):
+        prior = beta_prior(alpha, beta)
+        assert optimal_array(prior, k_max) == optimal_array_reference(prior, k_max)
+
+    @given(st.floats(0.01, 10), st.floats(0.01, 10))
+    @settings(max_examples=50, deadline=None)
+    def test_float_parameters_decide_on_their_dyadic_values(self, alpha, beta):
+        lifted = beta_prior(Fraction(alpha), Fraction(beta))
+        assert optimal_array(beta_prior(alpha, beta), 60) == optimal_array(lifted, 60)
+
+    def test_float_near_tie_is_decided_exactly(self):
+        # 0.1 + 0.2 > 0.3 as floats: alpha > beta, so the count k/2 backs 1;
+        # the (k+1) 2**-50 float tolerance used to make these cells 1/2
+        prior = beta_prior(0.1 + 0.2, 0.3)
+        assert not prior.is_symmetric
+        array = optimal_array(prior, 40)
+        for k in range(0, 41, 2):
+            assert array.phi(k, k // 2) == 1
+        assert array.rows[:3] == ((1,), (0, 1), (0, 1, 1))
+
+    @pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, 5])
+    def test_symmetric_beta_is_frequent_outcome(self, a):
+        assert optimal_array(beta_prior(a, a), 300) == frequent_outcome_array(300)
+
+    def test_no_posterior_mean_per_cell(self, monkeypatch):
+        calls = []
+
+        def counted(prior, stat):
+            calls.append(stat)
+            return posterior_mean(prior, stat)
+
+        monkeypatch.setattr(prediction, "posterior_mean", counted)
+        optimal_array(beta_prior(Fraction(7, 2), Fraction(1, 2)), 150)
+        assert calls == []
 
 
 class TestPriorCovariance:
