@@ -40,7 +40,8 @@ def _number(num: int, den: int, as_float: bool) -> float | Fraction:
     would.  The kernels that end here: ``catalan_series``; in ``accuracy``,
     ``bin_pmf``, ``h_function``, ``ideal_accuracy``, the curve and all five
     routes (the t-table on both ends of its certified floor); in
-    ``prediction``, ``posterior_mean`` under beta and discrete priors.
+    ``prediction``, ``posterior_mean`` under beta and discrete priors, and
+    through it ``Prior.mean`` and ``prior_covariance``.
     """
     return num / den if as_float else Fraction(num, den)
 

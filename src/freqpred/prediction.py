@@ -39,9 +39,6 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
-# a float posterior mean at row k within (k + 1) times this of 1/2 is a tie
-FLOAT_TIE_TOLERANCE_PER_TRIAL = 2.0**-50
-
 
 class ImpossibleEvidenceError(ValueError):
     """The observed count has zero likelihood under every prior atom."""
@@ -214,9 +211,9 @@ class Prior(_Prior):
         return self.is_symmetric and off_center
 
     def mean(self) -> Weight:
-        if self.kind == "beta":
-            return self.alpha / (self.alpha + self.beta)
-        return sum(v * w for v, w in self.atoms)
+        """E[theta]: the posterior mean after no trials, so a float prior's
+        mean is the exact mean of its dyadic value rounded once."""
+        return posterior_mean(self, CountStatistic(0, 0))
 
 
 def beta_prior(alpha: Weight, beta: Weight) -> Prior:
@@ -227,6 +224,22 @@ def beta_prior(alpha: Weight, beta: Weight) -> Prior:
 def discrete_prior(atoms) -> Prior:
     """Finitely supported prior from (value, weight) pairs."""
     return Prior(kind="discrete", atoms=tuple((v, w) for v, w in atoms))
+
+
+def _has_float(prior: Prior) -> bool:
+    """Whether a parameter, atom value or atom weight of the prior is a float."""
+    fields = (prior.alpha, prior.beta) if prior.kind == "beta" else sum(prior.atoms, ())
+    return any(isinstance(x, float) for x in fields)
+
+
+def _exact(prior: Prior) -> Prior:
+    """The prior at its dyadic value: ``Fraction`` parameters, and discrete
+    weights over their sum, which moves no posterior mean and makes float
+    weights that pass the 1e-12 sum check total exactly 1."""
+    if prior.kind == "beta":
+        return beta_prior(Fraction(prior.alpha), Fraction(prior.beta))
+    total = sum(Fraction(w) for _, w in prior.atoms)
+    return discrete_prior((Fraction(v), Fraction(w) / total) for v, w in prior.atoms)
 
 
 def posterior_mean(prior: Prior, stat: CountStatistic) -> Weight:
@@ -253,8 +266,7 @@ def posterior_mean(prior: Prior, stat: CountStatistic) -> Weight:
         a, b = prior.alpha.as_integer_ratio()
         c, e = prior.beta.as_integer_ratio()
         num = (a + n * b) * e
-        as_float = isinstance(prior.alpha, float) or isinstance(prior.beta, float)
-        return _number(num, num + (c + (k - n) * e) * b, as_float)
+        return _number(num, num + (c + (k - n) * e) * b, _has_float(prior))
     values = [value.as_integer_ratio() for value, _ in prior.atoms]
     weights = [weight.as_integer_ratio() for _, weight in prior.atoms]
     b_all = math.lcm(*(b for _, b in values))
@@ -269,8 +281,7 @@ def posterior_mean(prior: Prior, stat: CountStatistic) -> Weight:
         raise ImpossibleEvidenceError(
             f"count n={n}, k={k} has zero probability under the prior"
         )
-    as_float = any(isinstance(x, float) for atom in prior.atoms for x in atom)
-    return _number(num, b_all * marginal, as_float)
+    return _number(num, b_all * marginal, _has_float(prior))
 
 
 def posterior_correct_probability(
@@ -282,24 +293,6 @@ def posterior_correct_probability(
     expectation is just the conditional accuracy at the posterior mean.
     """
     return conditional_accuracy(phi, posterior_mean(prior, stat))
-
-
-def _tie(mean: Weight, k: int) -> bool:
-    """Whether a discrete prior's posterior mean at row k is a tie, 1/2.
-
-    Beta priors never come here: :func:`optimal_array` decides their rows
-    exactly from the closed form.  An exact mean ties only at 1/2 itself.
-    A float prior's mean is exact for the dyadic values of its atoms, each
-    up to 2**-53 (relative) from the number it stands for, and a likelihood
-    at row k is a product of k such factors: a prior symmetric up to that
-    rounding, like the atoms 0.1 and 0.9, moves a tie's mean from 1/2 by up
-    to about k 2**-53.  So the tolerance grows with k, (k + 1) 2**-50, a
-    factor of 8 above that drift; an absolute one loses those ties once k
-    is large enough (1e-14 did from k = 408 on).
-    """
-    if isinstance(mean, float):
-        return abs(mean - 0.5) <= (k + 1) * FLOAT_TIE_TOLERANCE_PER_TRIAL
-    return mean == HALF
 
 
 def _beta_row(k: int, num: int, den: int) -> tuple[Fraction, ...]:
@@ -319,23 +312,26 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
     """Bayes-optimal array: back whichever outcome the posterior favours.
 
     Entry (k, n) is 1 when the posterior mean exceeds 1/2, 0 when below,
-    and 1/2 at an exact tie.  A count the prior gives zero probability
+    and 1/2 when it equals 1/2.  A count the prior gives zero probability
     also gets 1/2: it is never observed, and on it every action scores
-    the same.  For symmetric non-degenerate priors this reproduces
+    the same.  For a symmetric non-degenerate prior (a beta(a, a), or
+    atoms inside (0, 1) with mass off 1/2) this reproduces
     :func:`frequent_outcome_array` entry for entry.
+
+    Every comparison is exact, on the prior's dyadic value (``_exact``),
+    so no tolerance decides an entry: float atoms 0.1 and 0.9 are not
+    symmetric (1 - 0.9 != 0.1), and their cells with 2n = k are 0 or 1.
 
     A beta prior needs no posterior mean: by conjugacy the mean
     (alpha + n)/(alpha + beta + k) exceeds 1/2 iff 2n > k + beta - alpha,
     so each row is a run of zeros, at most one 1/2 and a run of ones, cut
-    by one integer division.  The comparison is exact, on the dyadic value
-    of a float parameter, so a float beta(a, b) gives the array of
-    beta(Fraction(a), Fraction(b)).  A discrete prior is decided cell by
-    cell from its posterior means (see ``_tie``).
+    by one integer division.  A discrete prior is decided cell by cell.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    prior = _exact(prior)
     if prior.kind == "beta":
-        num, den = (Fraction(prior.beta) - Fraction(prior.alpha)).as_integer_ratio()
+        num, den = (prior.beta - prior.alpha).as_integer_ratio()
         rows = tuple(_beta_row(k, num, den) for k in range(k_max + 1))
         return PredictionArray._trusted(rows)
     rows = []
@@ -346,12 +342,7 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
                 mean = posterior_mean(prior, CountStatistic(k, n))
             except ImpossibleEvidenceError:
                 mean = HALF
-            if _tie(mean, k):
-                row.append(HALF)
-            elif mean > HALF:
-                row.append(ONE)
-            else:
-                row.append(ZERO)
+            row.append(HALF if mean == HALF else ONE if mean > HALF else ZERO)
         rows.append(tuple(row))
     return PredictionArray._trusted(tuple(rows))
 
@@ -360,11 +351,13 @@ def prior_covariance(prior: Prior) -> Weight:
     """cov(x_i, x_j) for i != j: the variance of theta under the prior.
 
     Exchangeable indicators can never be negatively correlated; this is
-    the (non-negative) common covariance of any two distinct trials.
+    the common covariance of any two distinct trials, P(x_1 = x_2 = 1) -
+    P(x_1 = 1)^2 = m0 (m11 - m0), with m0 the prior mean and m11 the
+    posterior mean after one success (E[theta^2] = m0 m11); all mass at 0
+    gives 0.  It is taken on the prior's dyadic value, so a float prior's
+    covariance is the exact one rounded once, never negative.
     """
-    if prior.kind == "beta":
-        a, b = prior.alpha, prior.beta
-        return (a * b) / ((a + b) ** 2 * (a + b + 1))
-    mean = prior.mean()
-    second = sum(v * v * w for v, w in prior.atoms)
-    return second - mean * mean
+    exact = _exact(prior)
+    m0 = posterior_mean(exact, CountStatistic(0, 0))
+    cov = m0 * (posterior_mean(exact, CountStatistic(1, 1)) - m0) if m0 else ZERO
+    return _number(*cov.as_integer_ratio(), _has_float(prior))

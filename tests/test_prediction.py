@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
@@ -26,7 +26,6 @@ from freqpred.prediction import (
     posterior_mean,
     prior_covariance,
 )
-from freqpred.prediction import _tie  # the decision optimal_array makes at each cell
 
 HALF = Fraction(1, 2)
 
@@ -43,17 +42,27 @@ def posterior_mean_reference(prior: Prior, stat: CountStatistic) -> Fraction:
     return sum(v * w for v, w in weighted) / marginal
 
 
+def lifted(prior: Prior) -> Prior:
+    """The prior at the dyadic value of its floats, discrete weights over their exact sum."""
+    if prior.kind == "beta":
+        return beta_prior(Fraction(prior.alpha), Fraction(prior.beta))
+    total = sum(Fraction(w) for _, w in prior.atoms)
+    return discrete_prior([(Fraction(v), Fraction(w) / total) for v, w in prior.atoms])
+
+
 def optimal_array_reference(prior: Prior, k_max: int) -> PredictionArray:
-    """The cell-by-cell build: one posterior mean per cell, decided by ``_tie``."""
+    """The cell-by-cell build: one posterior mean per cell of the lifted
+    prior, compared with 1/2 exactly."""
+    exact = lifted(prior)
     rows = []
     for k in range(k_max + 1):
         row = []
         for n in range(k + 1):
             try:
-                mean = posterior_mean(prior, CountStatistic(k, n))
+                mean = posterior_mean(exact, CountStatistic(k, n))
             except ImpossibleEvidenceError:
                 mean = HALF
-            row.append(HALF if _tie(mean, k) else Fraction(int(mean > HALF)))
+            row.append(HALF if mean == HALF else Fraction(int(mean > HALF)))
         rows.append(tuple(row))
     return PredictionArray(tuple(rows))
 
@@ -81,6 +90,21 @@ exact_atoms = st.lists(
 float_atoms = st.lists(
     st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=5
 ).filter(lambda atoms: any(w for _, w in atoms))
+
+
+def float_prior(raw_atoms) -> Prior:
+    """A float discrete prior from raw atoms, weights over their float sum."""
+    total = sum(w for _, w in raw_atoms)
+    return discrete_prior([(v, w / total) for v, w in raw_atoms])
+
+
+# float pairs v, 1 - v with one weight each: 1 - (1 - v) is a float whose
+# complement is exact, so the pair is symmetric as floats, not up to rounding
+symmetric_float_pairs = st.lists(
+    st.tuples(st.floats(0, 1).map(lambda v: 1 - (1 - v)), st.floats(0, 1)),
+    min_size=1,
+    max_size=3,
+)
 
 
 def posterior_mean_quadrature(a: float, b: float, k: int, n: int) -> float:
@@ -239,6 +263,32 @@ class TestPrior:
         two_atom = discrete_prior([(Fraction(2, 5), HALF), (Fraction(3, 5), HALF)])
         assert two_atom.mean() == HALF
 
+    def test_float_beta_mean_rounds_once(self):
+        # alpha / (alpha + beta) in floats rounds twice: 0.8084880665823716
+        assert beta_prior(6.3942907240361775, 1.5146580759950041).mean() == 0.8084880665823715
+
+    @given(st.floats(0.01, 10), st.floats(0.01, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_float_beta_moments_are_dyadic_values_rounded_once(self, alpha, beta):
+        a, b = Fraction(alpha), Fraction(beta)
+        prior = beta_prior(alpha, beta)
+        assert prior.mean() == float(a / (a + b))
+        covariance = prior_covariance(prior)
+        assert covariance == float(a * b / ((a + b) ** 2 * (a + b + 1)))
+        assert covariance >= 0
+
+    @given(float_atoms)
+    @settings(max_examples=100, deadline=None)
+    def test_float_discrete_moments_are_dyadic_values_rounded_once(self, raw_atoms):
+        prior = float_prior(raw_atoms)
+        exact = lifted(prior)
+        mean = sum(v * w for v, w in exact.atoms)
+        second = sum(v * v * w for v, w in exact.atoms)
+        assert prior.mean() == float(mean)
+        covariance = prior_covariance(prior)
+        assert covariance == float(second - mean * mean)
+        assert covariance >= 0
+
 
 class TestPosteriorMean:
     def test_uniform_prior_conjugacy(self):
@@ -287,13 +337,11 @@ class TestPosteriorMean:
     def test_float_prior_is_its_dyadic_value_rounded_once(self, raw_atoms, k):
         # the mean does not depend on the weights' scale, so the lifted prior
         # may renormalise its exact weights where the float sum is off by ulps
-        total = sum(w for _, w in raw_atoms)
-        prior = discrete_prior([(v, w / total) for v, w in raw_atoms])
-        lifted_total = sum(Fraction(w) for _, w in prior.atoms)
-        lifted = discrete_prior([(Fraction(v), Fraction(w) / lifted_total) for v, w in prior.atoms])
+        prior = float_prior(raw_atoms)
+        exact = lifted(prior)
         for n in range(k + 1):
             stat = CountStatistic(k, n)
-            expected = outcome(lifted, stat)
+            expected = outcome(exact, stat)
             if expected is not ImpossibleEvidenceError:
                 expected = float(expected)
             assert outcome(prior, stat) == expected
@@ -365,9 +413,8 @@ class TestOptimalArray:
         discrete_prior(
             [(Fraction(1, 10), Fraction(1, 4)), (Fraction(9, 10), Fraction(1, 4)), (HALF, HALF)]
         ),
-        # float atoms: dyadic, and symmetric only up to rounding (1 - 0.9 != 0.1)
+        # float atoms, symmetric as floats (1 - 0.75 == 0.25)
         discrete_prior([(0.25, 0.5), (0.75, 0.5)]),
-        discrete_prior([(0.1, 0.5), (0.9, 0.5)]),
     ]
 
     def test_symmetric_priors_recover_frequent_outcome(self):
@@ -395,15 +442,44 @@ class TestOptimalArray:
         assert all(phi == 0 for row in array.rows for phi in row)
 
     def test_float_ties_at_large_k(self):
-        # atoms 0.1 and 0.9 are symmetric only up to rounding, and the tie
-        # mean at (k, k/2) drifts from 1/2 by up to ~k 2**-53: the absolute
-        # 1e-14 tolerance made optimal_array(prior, 420) differ from
-        # frequent_outcome_array(420) in rows 408..420 (building all 420
-        # rows takes ~20 s on 2 vCPUs, so the test reads each tie decision)
+        # atoms 0.1 and 0.9 are symmetric only up to rounding (1 - 0.9 != 0.1),
+        # so at 2n = k the exact mean of their dyadic values is not 1/2: each
+        # such cell backs the side of 1/2 that mean is on, none is 1/2
         prior = discrete_prior([(0.1, 0.5), (0.9, 0.5)])
-        for k in range(2, 421, 2):
-            assert _tie(posterior_mean(prior, CountStatistic(k, k // 2)), k)
-            assert not _tie(posterior_mean(prior, CountStatistic(k, k // 2 + 1)), k)
+        assert not prior.is_symmetric
+        array = optimal_array(prior, 120)
+        for k in range(0, 121, 2):
+            stat = CountStatistic(k, k // 2)
+            mean = posterior_mean_reference(lifted(prior), stat)
+            assert mean != HALF
+            assert array.phi(*stat) == (mean > HALF)
+
+    @pytest.mark.parametrize("e", [24, 26])
+    def test_float_atoms_near_half_are_frequent_outcome(self, e):
+        # 0.5 +- 2**-e are exactly symmetric floats; the (k + 1) 2**-50 tie
+        # tolerance made 190 (e = 24) and 200 (e = 26) of these rows 1/2 where
+        # the exact mean is off 1/2 by less than it
+        prior = discrete_prior([(0.5 - 2.0**-e, 0.5), (0.5 + 2.0**-e, 0.5)])
+        assert prior.is_almost_uniform
+        assert optimal_array(prior, 200) == frequent_outcome_array(200)
+
+    @given(symmetric_float_pairs, st.floats(0, 1), st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_float_prior_is_frequent_outcome(self, pairs, center, k_max):
+        total = 2 * sum(w for _, w in pairs) + center
+        assume(total > 0)
+        atoms = [(0.5, center / total)]
+        for v, w in pairs:
+            atoms += [(v, w / total), (1 - v, w / total)]
+        prior = discrete_prior(atoms)
+        assume(prior.is_almost_uniform and all(0 < v < 1 for v, _ in atoms))
+        assert optimal_array(prior, k_max) == frequent_outcome_array(k_max)
+
+    @given(float_atoms, st.integers(0, 30))
+    @settings(max_examples=50, deadline=None)
+    def test_float_atoms_decide_on_their_dyadic_values(self, raw_atoms, k_max):
+        prior = float_prior(raw_atoms)
+        assert optimal_array(prior, k_max) == optimal_array(lifted(prior), k_max)
 
     def test_argmax_tracks_majority_sign(self):
         # mechanism check: posterior mean sits on the same side of 1/2 as n of k/2
@@ -492,6 +568,15 @@ class TestPriorCovariance:
     def test_two_atom(self):
         prior = discrete_prior([(Fraction(2, 5), HALF), (Fraction(3, 5), HALF)])
         assert prior_covariance(prior) == Fraction(1, 100)
+
+    def test_float_point_mass_is_zero(self):
+        # the second moment minus the squared mean in floats gave -1.7e-18
+        assert prior_covariance(discrete_prior([(0.1, 0.2), (0.1, 0.8)])) == 0.0
+
+    def test_mass_at_zero(self):
+        # no success is possible, so there is no posterior after one
+        assert prior_covariance(discrete_prior([(0, 1)])) == 0
+        assert prior_covariance(discrete_prior([(0.0, 1.0)])) == 0.0
 
     @given(st.lists(st.tuples(probabilities, st.integers(1, 5)), min_size=1, max_size=4))
     @settings(max_examples=50)
