@@ -107,7 +107,7 @@ def _json_scalar(value) -> str:
     return float.__repr__(value) if math.isfinite(value) else "null"
 
 
-def emit(fmt: str, out: str | None, header: list[str], rows: list[list], digits: int) -> None:
+def emit(fmt: str, out: str | None, header: list[str], rows: list, digits: int) -> None:
     """Write one table as CSV (header row, '\\n' terminated) or JSON array,
     to the file ``out``, or to stdout when ``out`` is None.
 
@@ -174,8 +174,7 @@ def cmd_accuracy(args):
 
 def cmd_curve(args):
     points = acc.accuracy_curve(parse_theta(args.theta), args.k_max)
-    rows = [[p.k, p.accuracy, p.ideal, p.gap] for p in points]
-    return ["k", "pi_k", "ideal", "gap"], rows, 0
+    return ["k", "pi_k", "ideal", "gap"], points, 0
 
 
 def cmd_threshold(args):

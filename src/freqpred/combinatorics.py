@@ -40,8 +40,9 @@ def _number(num: int, den: int, as_float: bool) -> float | Fraction:
     would.  The kernels that end here: ``catalan_series``; in ``accuracy``,
     ``bin_pmf``, ``h_function``, ``ideal_accuracy``, the curve and all five
     routes (the t-table on both ends of its certified floor); in
-    ``prediction``, ``posterior_mean`` under beta and discrete priors, and
-    through it ``Prior.mean`` and ``prior_covariance``.
+    ``prediction``, ``conditional_accuracy``, ``posterior_mean`` under beta
+    and discrete priors, and through them ``Prior.mean``,
+    ``prior_covariance`` and ``posterior_correct_probability``.
     """
     return num / den if as_float else Fraction(num, den)
 
@@ -70,8 +71,10 @@ def w_coefficient(i: int, j: int) -> int:
     Zero outside 0 <= j <= i.  These are the coefficients produced by
     expanding C_{i-1} (1 - t)^i with the binomial theorem, and they obey
     the diagonal identity sum_{i<=t} W(i, t-i) = 1 iff t = 1, else 0.
-    The reference for that identity; ``alpha_row`` sums the same terms
-    by Horner's rule and does not call it.
+    The reference for that identity and for the paper's form of the
+    expanded coefficients, alpha(a, t) = sum_{i<=a} W(i, a+t-i)
+    + 2(a+1) W(a+1, t-1), less 1 at (a=0, t=1); ``alpha_row`` takes
+    the binomial model instead and does not call it.
     """
     if i < 1:
         raise ValueError(f"w_coefficient requires i >= 1, got i={i}")
@@ -85,33 +88,30 @@ def w_coefficient(i: int, j: int) -> int:
 def alpha_row(a: int) -> tuple[int, ...]:
     """All a+2 expanded-polynomial coefficients for plateau index ``a``.
 
-    Entry t (1-based) is the coefficient attached to the power a+t:
+    Entry t (1-based) is alpha(a, t), the theta^(a+t) coefficient in
+    pi_(2a+1) = 1 - theta - sum_t alpha(a, t) theta^(a+t); each row sums
+    to -1, forced by the polynomial equalling 1 at theta = 1.
 
-        alpha(a, t) = sum_{i=1..a} W(i, a+t-i) + 2(a+1) W(a+1, t-1),
-
-    with 1 subtracted at (a=0, t=1) so that the polynomial keeps the
-    uniform ``1 - t - sum alpha`` layout for every a.  Each row satisfies
-    sum_t alpha(a, t) = -1, forced by the polynomial equalling 1 at t=1.
-
-    Order of evaluation: sum_i W(i, s-i) is the theta^s coefficient of
-    sum_{i<=a} C_{i-1} x^i + 2(a+1) C_a x^(a+1), x = theta - theta^2, so
-    the row is the tail of that polynomial, built by Horner's rule in x
-    on theta-coefficient lists: c + x q = [c, q_0, q_1 - q_0, ..., -q_m].
-    The 1 taken off at theta^1 reaches the row only when a = 0.
+    With k = 2a+1 and N ~ Bin(k, theta), pi_k = theta + (1 - 2 theta)
+    P(N <= a), so alpha(a, t) = c_(a+t) - 2 c_(a+t-1) with c_m the theta^m
+    coefficient of P(N > a): by the partial alternating binomial sum,
+    c_m = (-1)^(m-a-1) C(k, m) C(m-1, a) for a < m <= k, else 0.  The row
+    starts from c_(a+1) = C(k, a+1) and steps by the exact ratio
+    c_(m+1) = -c_m (k-m) m / ((m+1)(m-a)); see ``w_coefficient`` for the
+    paper's form of the same numbers.
 
     Note on the classical tabulation: the entry at (a=5, t=1) is often
     printed as 426, which breaks the row-sum identity (that row then sums
-    to -37).  The sum above gives 462 -- a digit transposition away --
-    and 462 also matches the cross-check alpha(a, 1) = C(2a+1, a).
+    to -37).  Here it is 462 = C(11, 6), the theta^6 coefficient of
+    P(N >= 6), a digit transposition away, as alpha(a, 1) = C(2a+1, a).
     """
     if a < 0:
         raise ValueError(f"alpha_row requires a >= 0, got a={a}")
-    poly = [2 * (a + 1) * catalan(a)]
-    for i in range(a, -1, -1):
-        shifted = [q - p for p, q in zip(poly, poly[1:])]
-        poly = [catalan(i - 1) if i else 0, poly[0], *shifted, -poly[-1]]
-    poly[1] -= 1
-    return tuple(poly[a + 1 :])
+    k = 2 * a + 1
+    c = [comb(k, a + 1)]  # c_m for m = a+1 .. k
+    for m in range(a + 1, k):
+        c.append(-c[-1] * ((k - m) * m) // ((m + 1) * (m - a)))
+    return tuple(hi - 2 * lo for hi, lo in zip([*c, 0], [0, *c]))
 
 
 def alpha_coefficient(a: int, t: int) -> int:

@@ -123,13 +123,15 @@ def frequent_outcome_array(k_max: int) -> PredictionArray:
 def conditional_accuracy(phi: Weight, theta: Theta) -> Weight:
     """P(prediction correct | theta) = (1-theta)(1-phi) + theta*phi.
 
-    Affine in theta with slope 2*phi - 1: predicting one with certainty
-    scores theta, predicting zero scores 1-theta, and phi = 1/2 scores
-    1/2 no matter the bias.
+    One integer ratio ((d-p)(e-f) + p f) / (d e) for theta = p/d and
+    phi = f/e, rounded by ``_number``.  Affine in theta with slope 2 phi - 1:
+    phi = 1 scores theta, phi = 0 scores 1 - theta, phi = 1/2 scores 1/2.
     """
     _check_probability(phi, "phi")
     _check_probability(theta, "theta")
-    return (1 - theta) * (1 - phi) + theta * phi
+    (p, d), (f, e) = theta.as_integer_ratio(), phi.as_integer_ratio()
+    as_float = isinstance(theta, float) or isinstance(phi, float)
+    return _number((d - p) * (e - f) + p * f, d * e, as_float)
 
 
 class _Prior(NamedTuple):
@@ -143,9 +145,9 @@ class Prior(_Prior):
     """Distribution of the long-run success proportion.
 
     Either a beta(alpha, beta) density or a finite set of weighted atoms.
-    Use :func:`beta_prior` / :func:`discrete_prior` to construct.  Integer
-    beta parameters are lifted to ``Fraction``, so exact parameters give
-    exact means, posterior means and covariances.
+    Use :func:`beta_prior` / :func:`discrete_prior` to construct.  Fields
+    are kept as given: exact ones give exact moments and posteriors; float
+    ones are taken at their dyadic value, and each result rounded once.
     """
 
     __slots__ = ()
@@ -164,10 +166,6 @@ class Prior(_Prior):
                 raise ValueError(
                     f"beta parameters must be positive and finite, got ({alpha}, {beta})"
                 )
-            if isinstance(alpha, int):
-                alpha = Fraction(alpha)
-            if isinstance(beta, int):
-                beta = Fraction(beta)
         elif kind == "discrete":
             if atoms is None or alpha is not None or beta is not None:
                 raise ValueError("discrete prior takes atoms only")
@@ -233,9 +231,11 @@ def _has_float(prior: Prior) -> bool:
 
 
 def _exact(prior: Prior) -> Prior:
-    """The prior at its dyadic value: ``Fraction`` parameters, and discrete
-    weights over their sum, which moves no posterior mean and makes float
-    weights that pass the 1e-12 sum check total exactly 1."""
+    """The prior at its dyadic value, or the prior itself if it is exact:
+    ``Fraction`` parameters, and discrete weights over their sum, which moves
+    no posterior mean and makes float weights that pass the 1e-12 check sum to 1."""
+    if not _has_float(prior):
+        return prior
     if prior.kind == "beta":
         return beta_prior(Fraction(prior.alpha), Fraction(prior.beta))
     total = sum(Fraction(w) for _, w in prior.atoms)
@@ -289,10 +289,11 @@ def posterior_correct_probability(
 ) -> Weight:
     """P(prediction correct | observed count) for predict-one probability phi.
 
-    Because the conditional accuracy is affine in theta, the posterior
-    expectation is just the conditional accuracy at the posterior mean.
+    The conditional accuracy is affine in theta, so this is its value at
+    the exact posterior mean of the prior's dyadic value, rounded once.
     """
-    return conditional_accuracy(phi, posterior_mean(prior, stat))
+    score = conditional_accuracy(phi, posterior_mean(_exact(prior), stat))
+    return _number(*score.as_integer_ratio(), _has_float(prior))
 
 
 def _beta_row(k: int, num: int, den: int) -> tuple[Fraction, ...]:

@@ -157,13 +157,13 @@ class TestAlphaCoefficient:
 
 
 class TestAlphaRowKernel:
-    """The Horner kernel against the W-sum it evaluates in another order."""
+    """The binomial-model kernel against the paper's W-sum, an independent oracle."""
 
     def test_matches_the_w_sum(self):
         for a in range(151):
             assert alpha_row(a) == alpha_row_reference(a), a
 
-    @pytest.mark.parametrize("a", [400, 1499])
+    @pytest.mark.parametrize("a", [400, 1499, 3000])
     def test_identities_at_large_a(self, a):
         row = alpha_row(a)
         assert len(row) == a + 2
@@ -171,18 +171,21 @@ class TestAlphaRowKernel:
         assert row[0] == comb(2 * a + 1, a)
         assert row[-1] == (-1) ** (a + 1) * 2 * comb(2 * a, a)
 
-    def test_one_comb_call_per_catalan_number(self, monkeypatch):
+    def test_one_comb_call_and_no_catalan_call(self, monkeypatch):
         calls = []
 
-        def counting_comb(n, k):
-            calls.append((n, k))
-            return comb(n, k)
+        def counting(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
 
-        monkeypatch.setattr(combinatorics, "comb", counting_comb)
-        catalan.cache_clear()
+            return wrapper
+
+        monkeypatch.setattr(combinatorics, "comb", counting("comb", comb))
+        monkeypatch.setattr(combinatorics, "catalan", counting("catalan", catalan))
         alpha_row.__wrapped__(200)
-        # C_0 .. C_200; the W-sum made 10,403
-        assert len(calls) <= 201
+        # C(401, 201), then exact ratios; the W-sum made 10,403 comb calls
+        assert calls == ["comb"]
 
 
 @pytest.mark.parametrize(

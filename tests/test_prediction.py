@@ -180,6 +180,22 @@ class TestConditionalAccuracy:
     def test_affine_slope(self, phi, theta):
         assert conditional_accuracy(phi, theta) == 1 - phi + (2 * phi - 1) * theta
 
+    def test_float_theta_rounds_once(self):
+        # (1 - theta)(1 - phi) + theta phi in floats gives ...158
+        value = conditional_accuracy(Fraction(11, 97), 0.3803764132508314)
+        assert value == 0.5924924639813159
+
+    @given(
+        st.one_of(st.floats(0, 1), st.integers(0, 97).map(lambda j: Fraction(j, 97))),
+        st.floats(0, 1),
+    )
+    @settings(max_examples=200)
+    def test_float_score_is_its_dyadic_value_rounded_once(self, phi, theta):
+        value = conditional_accuracy(phi, theta)
+        exact = conditional_accuracy(Fraction(phi), Fraction(theta))
+        assert isinstance(value, float)
+        assert value == float(exact)
+
 
 class TestPrior:
     def test_beta_validation(self):
@@ -226,6 +242,9 @@ class TestPrior:
     def test_direct_construction_is_exact(self):
         prior = Prior("beta", 2, 3)
         assert prior == beta_prior(2, 3)
+        assert type(prior.alpha) is int
+        assert prior == beta_prior(Fraction(2), Fraction(3))
+        assert hash(prior) == hash(beta_prior(Fraction(2), Fraction(3)))
         for value in (
             prior.mean(),
             posterior_mean(prior, CountStatistic(0, 0)),
@@ -378,6 +397,33 @@ class TestPosteriorCorrectProbability:
         for phi in (Fraction(0), Fraction(1, 4), Fraction(1)):
             value = posterior_correct_probability(phi, beta_prior(5, 5), CountStatistic(4, 2))
             assert value == HALF
+
+    def test_float_beta_rounds_once(self):
+        # the score at the float posterior mean rounds twice: ...38936
+        prior = beta_prior(6.427256631159767, 5.95013720459472)
+        value = posterior_correct_probability(0, prior, CountStatistic(30, 26))
+        assert value == 0.2347982333023894
+
+    @given(
+        st.one_of(st.sampled_from([Fraction(0), HALF, Fraction(1)]), st.floats(0, 1)),
+        st.one_of(
+            st.tuples(st.floats(0.01, 10), st.floats(0.01, 10)).map(lambda ab: beta_prior(*ab)),
+            float_atoms.map(float_prior),
+        ),
+        st.integers(0, 40).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_score_is_its_dyadic_value_rounded_once(self, phi, prior, count):
+        stat = CountStatistic(*count)
+        exact = outcome(lifted(prior), stat)
+        assume(exact is not ImpossibleEvidenceError)
+        value = posterior_correct_probability(phi, prior, stat)
+        assert isinstance(value, float)
+        assert value == float(conditional_accuracy(Fraction(phi), exact))
+
+    def test_exact_prior_is_not_lifted(self):
+        for prior in (beta_prior(2, 3), discrete_prior([(Fraction(2, 5), HALF), (HALF, HALF)])):
+            assert prediction._exact(prior) is prior
 
     def test_affinity_matches_quadrature(self):
         # posterior expectation of the conditional accuracy, integrated
