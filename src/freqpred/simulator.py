@@ -21,12 +21,22 @@ substream uses fixed slot positions:
                              without one (for the frequent-outcome array,
                              only the tie cell of each even step draws)
 
-Because nothing is sequential, reports are bit-identical for any chunk
-size or degree of parallelism, and adding replications never perturbs
-existing ones.  A chunk is the set of replications that share one pass
-of numpy operations.  The default of 2^15 keeps a chunk's working vectors
-(256 KiB each) inside a core's L2 cache: at 280,000 replications and 71
-steps, 2^18-replication chunks ran ~1.7x slower on a 2-vCPU Xeon VM.
+A prior's theta is then a pure function of ``(seed, replication)``: the
+beta quantile takes Halley steps for each draw until that draw's own
+residual is small, so no draw's theta depends on which others share its
+call.  Because nothing is sequential, reports are bit-identical for any
+chunk size or degree of parallelism, and adding replications never
+perturbs existing ones.  A chunk is the set of replications that share
+one pass of numpy operations.  The default of 2^15 keeps a chunk's
+working vectors (256 KiB each) inside a core's L2 cache: at 280,000
+replications and 71 steps, 2^18-replication chunks ran ~1.7x slower on a
+2-vCPU Xeon VM.
+
+Each chunk's prologue writes into its own vectors: the keys are mixed in
+place in the replication indices, and a beta prior's theta cutoffs in
+place in the drawn theta.  The quantile solves its draws in blocks of
+``_QUANTILE_BLOCK`` (2^12), so its Halley temporaries do not grow with
+the chunk.
 
 The step loop reads each prediction row as runs of counts, not as a
 table: the replications whose running count lies in a run of 1.0
@@ -84,8 +94,10 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _keys(seed: int, reps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The substream key of each replication, mixed once and read by every slot."""
-    return _mix(np.uint64(seed) + reps * _REP_STRIDE, scratch)
+    """The substream key of each replication, mixed once and read by every
+    slot: made in place in ``reps``, which it overwrites."""
+    np.multiply(reps, _REP_STRIDE, out=reps)
+    return _mix(np.add(reps, np.uint64(seed), out=reps), scratch)
 
 
 def _draws(keys: np.ndarray, slot: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -162,12 +174,14 @@ class SimulationReport(NamedTuple):
     steps: tuple[StepAccuracy, ...]
 
 
-# The beta quantile's Halley steps stop after a step whose Newton part moves
-# ln I by no more than the tolerance (measured in ln I, it holds wherever x
-# lies, even near 1 where t = ln x is tiny): the error left is of order its
-# cube, far below 2**-53.  The cap only bounds the loop.
+# Each draw's Halley steps in the beta quantile stop after a step whose
+# Newton part moves ln I by no more than the tolerance (measured in ln I, it
+# holds wherever x lies, even near 1 where t = ln x is tiny): the error left
+# is of order its cube, far below 2**-53.  The cap only bounds the loop.
 _HALLEY_STEPS = 20
 _STEP_TOLERANCE = 2.0**-20
+# draws per call of the Halley loop, whose ~15 temporaries are each this long
+_QUANTILE_BLOCK = 1 << 12
 
 
 def _continued_fraction(a: float, b: float) -> tuple[list[float], float]:
@@ -239,12 +253,16 @@ def _log_quantile(a: float, b: float, coefficients: list[float], p: np.ndarray) 
     ln I = a t + b ln(1-x) - ln B(a, b) - ln(a r(x)),
     d ln I / dt = a r / (1-x) =: g and d^2 ln I / dt^2 = g (a - (b-1) x/(1-x) - g).
     The root lies at or below t0 = ln x0, so iterates are clamped there.
+    Each draw stops after the step it takes at a residual of at most the
+    tolerance, so its t is a function of its own p alone, whatever other
+    draws share the call.
     """
     t0 = math.log((a + 1) / (a + b + 2))
     log_p = np.log(p)
     t = np.minimum(_log_quantile_start(a, b, p, log_p), t0)
     offset = -_log_beta(a, b) - math.log(a) - log_p
     x, r = np.empty_like(t), np.empty_like(t)
+    active = np.ones(t.shape, dtype=bool)
     for _ in range(_HALLEY_STEPS):
         np.exp(t, out=x)
         _fraction(coefficients, x, r)
@@ -252,9 +270,11 @@ def _log_quantile(a: float, b: float, coefficients: list[float], p: np.ndarray) 
         odds = x / (1.0 - x)
         g = a * r * (1.0 + odds)
         newton = residual / g
-        t -= newton / (1.0 - 0.5 * np.clip(newton * (a - (b - 1.0) * odds - g), -1.0, 1.0))
+        step = newton / (1.0 - 0.5 * np.clip(newton * (a - (b - 1.0) * odds - g), -1.0, 1.0))
+        np.subtract(t, step, out=t, where=active)
         np.minimum(t, t0, out=t)
-        if np.max(np.abs(residual)) <= _STEP_TOLERANCE:
+        active &= np.abs(residual) > _STEP_TOLERANCE
+        if not active.any():
             break
     return t
 
@@ -265,35 +285,46 @@ def _beta_quantile(a: float, b: float, u: np.ndarray) -> np.ndarray:
     The continued fraction converges well below x0 = (a+1)/(a+b+2), so u
     below I_{x0}(a, b) solves I_x(a, b) = u, and the rest solves
     I_y(b, a) = 1 - u, exact for u = m 2^-53, and returns x = 1 - y.
-    u = 0 gives exactly 0.
+    u = 0 gives exactly 0.  Each set is solved in blocks of
+    ``_QUANTILE_BLOCK`` draws, so the Halley steps' temporaries stay that
+    small however long u is; a draw's x does not depend on its block.
     """
     coefficients, log_split = _continued_fraction(a, b)
     split = math.exp(log_split)
     x = np.zeros(u.shape)
     low = np.flatnonzero((0.0 < u) & (u < split))
     high = np.flatnonzero(u >= split)
-    if low.size:
-        x[low] = np.exp(_log_quantile(a, b, coefficients, u[low]))
+    for start in range(0, low.size, _QUANTILE_BLOCK):
+        block = low[start : start + _QUANTILE_BLOCK]
+        x[block] = np.exp(_log_quantile(a, b, coefficients, u[block]))
     if high.size:
         swapped, _ = _continued_fraction(b, a)
-        x[high] = -np.expm1(_log_quantile(b, a, swapped, 1.0 - u[high]))
+        for start in range(0, high.size, _QUANTILE_BLOCK):
+            block = high[start : start + _QUANTILE_BLOCK]
+            x[block] = -np.expm1(_log_quantile(b, a, swapped, 1.0 - u[block]))
     return x
 
 
-def _draw_thetas(
+def _theta_cutoffs(
     source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray | float:
-    """Each replication's theta: a fixed source as one float, a prior as
-    the inverse-CDF image of slot 0 (``out`` and ``scratch`` are overwritten)."""
+) -> np.ndarray | np.uint64:
+    """The ``_cutoffs`` of each replication's theta: one for a fixed source,
+    else those of the prior's inverse-CDF image of slot 0 (``out`` and
+    ``scratch`` are overwritten)."""
     if not isinstance(source, Prior):
-        return float(source)
-    u = _draws(keys, 0, out, scratch) * 2.0**-53
-    if source.kind == "beta":
-        return _beta_quantile(float(source.alpha), float(source.beta), u)
-    values = np.array([float(v) for v, _ in source.atoms])
-    cumulative = np.cumsum([float(w) for _, w in source.atoms])
-    cumulative[-1] = 1.0  # guard the top bin against float round-off
-    return values[np.searchsorted(cumulative, u, side="right")]
+        return _cutoffs(float(source))
+    m = _draws(keys, 0, out, scratch)
+    if source.kind == "discrete":
+        cumulative = np.cumsum([float(w) for _, w in source.atoms])
+        cumulative[-1] = 1.0  # guard the top bin against float round-off
+        # u = m 2^-53 < c exactly when m < _cutoffs(c), so the bins need no u
+        bins = np.searchsorted(_cutoffs(cumulative), m, side="right")
+        return _cutoffs(np.array([float(v) for v, _ in source.atoms]))[bins]
+    theta = _beta_quantile(float(source.alpha), float(source.beta), m * 2.0**-53)
+    # _cutoffs in place: theta's memory becomes the cutoffs
+    cutoffs = theta.view(np.uint64)
+    np.ceil(np.multiply(theta, 2.0**53, out=theta), out=cutoffs, casting="unsafe")
+    return cutoffs
 
 
 def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[list, list]]:
@@ -374,10 +405,13 @@ def _in_run(counts: np.ndarray, lo: int, hi: int, top: int, out: np.ndarray, spa
 
 def _chunks(total: int, chunk_size: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Each chunk's replication indices, with one buffer per dtype for its
-    vectors.  The buffers are allocated once per call, so the per-step loop
-    makes no chunk-sized temporaries: glibc serves those from freshly
-    mapped pages, which fault on first touch.  The last chunk, which may be
-    shorter, gets views of the buffers' first entries."""
+    vectors.  The buffers are allocated once per call, and the per-step
+    loop's own operations write into them: glibc serves chunk-sized
+    temporaries from freshly mapped pages, which fault on first touch.
+    A chunk still allocates its indices (mixed in place into the keys), a
+    prior's theta cutoffs with the beta quantile's u and index sets, and
+    the gathers of the replications that read a prediction slot.  The last
+    chunk, which may be shorter, gets views of the buffers' first entries."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     size = min(chunk_size, total)
@@ -409,7 +443,7 @@ def simulate_accuracy(
     chunks = _chunks(total, chunk_size, np.uint64, np.uint64, counts_dtype, bool, bool, bool, bool)
     for reps, (bits, scratch, counts, outcome, predicted, inside, spare) in chunks:
         keys = _keys(config.seed, reps, scratch)
-        theta_cut = _cutoffs(_draw_thetas(config.theta_source, keys, bits, scratch))
+        theta_cut = _theta_cutoffs(config.theta_source, keys, bits, scratch)
         counts.fill(0)
         for k, (ones, fractional) in enumerate(rows):
             np.less(_draws(keys, 1 + k, bits, scratch), theta_cut, out=outcome)
@@ -475,7 +509,7 @@ def simulate_covariance(
     chunks = _chunks(replications, chunk_size, np.uint64, np.uint64, bool, bool)
     for reps, (bits, scratch, x, y) in chunks:
         keys = _keys(seed, reps, scratch)
-        theta_cut = _cutoffs(_draw_thetas(prior, keys, bits, scratch))
+        theta_cut = _theta_cutoffs(prior, keys, bits, scratch)
         np.less(_draws(keys, i, bits, scratch), theta_cut, out=x)
         np.less(_draws(keys, j, bits, scratch), theta_cut, out=y)
         sum_x += int(np.count_nonzero(x))

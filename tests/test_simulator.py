@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from freqpred import cli
 from freqpred.accuracy import accuracy_recursive, bin_pmf
 from freqpred.prediction import (
     PredictionArray,
+    Prior,
     beta_prior,
     conditional_accuracy,
     discrete_prior,
@@ -25,7 +27,6 @@ from freqpred.simulator import (
     SimulationConfig,
     _beta_quantile,
     _cutoffs,
-    _draw_thetas,
     _draws,
     _keys,
     simulate_accuracy,
@@ -355,6 +356,23 @@ class TestBetaQuantile:
             assert x[0] == 0.0
             assert (np.diff(_beta_quantile(a, b, ordered)) >= 0).all(), (a, b)
 
+    def test_each_draw_is_a_function_of_its_own_u(self):
+        # counter-based draws: a draw's theta must not depend on the other
+        # draws that share its call, neither on how u is split nor on the
+        # quantile's blocks (of 10,000 draws, the low or the high set holds
+        # at least 5,000, more than one block of 2**12)
+        rng = np.random.default_rng(20)
+        for a in HALF_INTEGER_SHAPES:
+            for b in HALF_INTEGER_SHAPES:
+                u = uniform_draws(10_000, 9)
+                whole = _beta_quantile(a, b, u)
+                cuts = np.sort(rng.integers(1, u.size, 6))
+                pieces = np.concatenate([_beta_quantile(a, b, part) for part in np.split(u, cuts)])
+                singles = np.array([_beta_quantile(a, b, u[i : i + 1])[0] for i in range(200)])
+                split_moved = int(np.count_nonzero(pieces != whole))
+                alone_moved = int(np.count_nonzero(singles != whole[:200]))
+                assert (split_moved, alone_moved) == (0, 0), (a, b)
+
     # beta(2**-20, 2**-20), at the range's low end, puts nearly half its mass
     # within 1e-300 of each end, and near u = 1/2 its quantile moves ~5e5
     # times faster than u: there a rounding of u alone is worth ~1e-10
@@ -371,6 +389,22 @@ class TestBetaQuantile:
                 x = _beta_quantile(a, b, u)
                 assert np.max(np.abs(x - betaincinv(a, b, u))) <= tolerance, (a, b)
                 assert ((0.0 <= x) & (x <= 1.0)).all(), (a, b)
+
+
+class TestWorkingSet:
+    def test_beta_prior_chunk_peak(self):
+        # a chunk holds its buffers, theta's cutoffs, u and the quantile's
+        # index sets; the Halley steps' temporaries run in blocks of 2**12
+        # draws, so they add a bounded share, not ~15 chunk-sized vectors
+        array = frequent_outcome_array(70)
+        config = SimulationConfig(beta_prior(HALF, Fraction(7, 2)), 71, DEFAULT_CHUNK, 9)
+        tracemalloc.start()
+        try:
+            simulate_accuracy(config, array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * DEFAULT_CHUNK
 
 
 GOLDEN_SOURCES = {
@@ -460,12 +494,27 @@ class TestGolden:
         assert capsys.readouterr().out == expected
 
 
+def reference_thetas(source, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """Each replication's theta as a float, by the simulator's earlier
+    prologue: slot 0's u = m * 2**-53 mapped through the prior's inverse CDF."""
+    if not isinstance(source, Prior):
+        return float(source)
+    u = _draws(keys, 0, out, scratch) * 2.0**-53
+    if source.kind == "beta":
+        return _beta_quantile(float(source.alpha), float(source.beta), u)
+    values = np.array([float(v) for v, _ in source.atoms])
+    cumulative = np.cumsum([float(w) for _, w in source.atoms])
+    cumulative[-1] = 1.0
+    return values[np.searchsorted(cumulative, u, side="right")]
+
+
 def gather_loop_hits(
     config: SimulationConfig, array: PredictionArray, chunk_size: int
 ) -> list[int]:
     """Hits per step by the simulator's earlier loop, kept as the reference:
-    each row as per-count tables (cutoff, phi == 1.0, 0 < phi < 1), read
-    through int64 running counts with np.take."""
+    theta cutoffs from float thetas, and each row as per-count tables
+    (cutoff, phi == 1.0, 0 < phi < 1), read through int64 running counts
+    with np.take."""
     horizon = config.horizon
     rows = []
     for row in array.rows[:horizon]:
@@ -476,7 +525,7 @@ def gather_loop_hits(
         reps = np.arange(start, min(start + chunk_size, config.replications), dtype=np.uint64)
         bits, scratch = np.empty_like(reps), np.empty_like(reps)
         keys = _keys(config.seed, reps, scratch)
-        theta_cut = _cutoffs(_draw_thetas(config.theta_source, keys, bits, scratch))
+        theta_cut = _cutoffs(reference_thetas(config.theta_source, keys, bits, scratch))
         counts = np.zeros(reps.size, dtype=np.int64)
         for k, (phi_cut, ones, split) in enumerate(rows):
             outcome = _draws(keys, 1 + k, bits, scratch) < theta_cut
