@@ -81,6 +81,13 @@ class TestAccuracy:
         assert code == 0
         assert float(rows[0][3]) == pytest.approx(accuracy_expanded(9, 0.4), abs=1e-9)
 
+    def test_k_one_lists_all_five_routes(self, capsys):
+        code, out, _ = run(capsys, ["accuracy", "1", "9/20"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [r[2] for r in rows] == list(cli.ACCURACY_PATHS)
+        assert {r[3] for r in rows} == {"0.505"}
+
     def test_k_zero_uses_total_paths_only(self, capsys):
         code, out, _ = run(capsys, ["accuracy", "0", "0.3"])
         _, rows = parse_csv(out)
@@ -137,6 +144,12 @@ class TestCurve:
         final = rows[-1]
         assert round(float(final[1]), 4) == 0.5302
         assert round(float(final[3]), 4) == round(0.55 - 0.5302, 4)
+
+    def test_one_step(self, capsys):
+        code, out, _ = run(capsys, ["curve", "0.45", "1"])
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert rows == [["1", "0.505", "0.55", "0.045"]]
 
     def test_fair_theta_gaps_zero(self, capsys):
         code, out, _ = run(capsys, ["curve", "1/2", "10"])
@@ -303,6 +316,13 @@ class TestOutputHandling:
         _, four, _ = run(capsys, ["accuracy", "70", "9/20", "--path", "condensed", "--digits", "4"])
         assert "0.5298359384" in ten
         assert "0.5298" in four and "0.5298359384" not in four
+
+    def test_one_significant_digit(self, capsys):
+        argv = ["accuracy", "70", "9/20", "--path", "condensed", "--digits", "1"]
+        code, out, _ = run(capsys, argv)
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert rows[0][3] == "0.5"
 
     @pytest.mark.parametrize("digits", ["0", "-1"])
     def test_digits_below_one_rejected_at_parse_time(self, capsys, digits):
