@@ -21,6 +21,9 @@ freqpred accuracy 601 0.45
 # plateau a = 1500: a row of 1,502 coefficients by the exact ratio
 freqpred accuracy 3001 9/20 --path expanded
 freqpred simulate beta:2,3 71 1000 --seed 1
+# a beta prior is simulated as a Polya urn, so no shape is out of reach,
+# not even one with nearly all its mass at 0
+freqpred simulate beta:1/1000000000,5 71 1000 --seed 1
 # a horizon past 255 keeps the running counts in uint16
 freqpred simulate 0.4731 300 400 --seed 1
 freqpred posterior discrete:2/5=1/2,3/5=1/2 20 11

@@ -9,11 +9,17 @@ Every random draw is a pure function of ``(seed, replication, slot)``,
 produced by a counter-based SplitMix64-style mixer.  Replication r's
 substream uses fixed slot positions:
 
-* slot 0                  -- inverse-CDF draw of theta (prior sources only;
-                             a beta prior's quantile is ``_beta_quantile``)
-* slots 1..horizon+1      -- the Bernoulli(theta) outcome sequence; the
-                             prediction at step k is scored against the
-                             outcome in slot 1+k
+* slot 0                  -- inverse-CDF draw of theta (discrete priors
+                             only)
+* slots 1..horizon        -- the outcome sequence: the prediction at step
+                             k is scored against the outcome in slot 1+k,
+                             which is one when its draw m is below a
+                             cutoff c (``_cutoffs``): theta's for a fixed
+                             theta or a discrete prior's drawn atom, and
+                             for a beta(alpha, beta) prior the Polya urn's
+                             c_k[n] = ceil((alpha+n) 2^53 / (alpha+beta+k))
+                             at the running count n, exact on the prior's
+                             dyadic value
 * slot horizon + 2 + k    -- prediction draw at step k, read only where
                              the array entry phi, as a float, lies strictly
                              between 0 and 1: every draw is below 1, so
@@ -21,22 +27,23 @@ substream uses fixed slot positions:
                              without one (for the frequent-outcome array,
                              only the tie cell of each even step draws)
 
-A prior's theta is then a pure function of ``(seed, replication)``: the
-beta quantile takes Halley steps for each draw until that draw's own
-residual is small, so no draw's theta depends on which others share its
-call.  Because nothing is sequential, reports are bit-identical for any
-chunk size or degree of parallelism, and adding replications never
-perturbs existing ones.  A chunk is the set of replications that share
-one pass of numpy operations.  The default of 2^15 keeps a chunk's
-working vectors (256 KiB each) inside a core's L2 cache: at 280,000
-replications and 71 steps, 2^18-replication chunks ran ~1.7x slower on a
-2-vCPU Xeon VM.
+A beta prior is simulated as a Polya urn (Blackwell & MacQueen, Ann.
+Statist. 1, 1973): given n ones in k trials, the next trial is one with
+probability (alpha+n)/(alpha+beta+k), the law of an exchangeable sequence
+whose de Finetti measure is the prior.  Every statistic the simulator
+reports depends only on the sequence, so theta is never drawn, and no
+simulated number calls a libm function.  Because nothing is sequential
+across replications, reports are bit-identical for any chunk size or
+degree of parallelism, and adding replications never perturbs existing
+ones.  A chunk is the set of replications that share one pass of numpy
+operations.  The default of 2^15 keeps a chunk's working vectors
+(256 KiB each) inside a core's L2 cache: at 280,000 replications and 71
+steps, 2^18-replication chunks ran ~1.7x slower on a 2-vCPU Xeon VM.
 
 Each chunk's prologue writes into its own vectors: the keys are mixed in
-place in the replication indices, and a beta prior's theta cutoffs in
-place in the drawn theta.  The quantile solves its draws in blocks of
-``_QUANTILE_BLOCK`` (2^12), so its Halley temporaries do not grow with
-the chunk.
+place in the replication indices.  A beta prior's step reads its cutoffs
+c_k[n] by gathering through an intp copy of the running counts: a gather
+through the narrow counts costs ~4x as much per element.
 
 The step loop reads each prediction row as runs of counts, not as a
 table: the replications whose running count lies in a run of 1.0
@@ -51,13 +58,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, islice
 from operator import is_not
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .prediction import PredictionArray, Prior
+from .prediction import PredictionArray, Prior, _exact
 
 ThetaSource = Union[int, float, Fraction, Prior]
 
@@ -71,10 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 15
-# Beta priors the simulator draws from: the quantile's continued fraction
-# needs ~2 sqrt(max(a, b)) levels (~2,000 at the top) and loses ~log2(a + b)
-# bits, and below the bottom ln B(a, b) cancels away the tail near u = 1.
-BETA_SHAPE_RANGE = (2.0**-20, 2.0**20)
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -119,15 +122,7 @@ def _cutoffs(p: np.ndarray | float) -> np.ndarray | np.uint64:
 
 
 def _check_theta_source(source: ThetaSource) -> None:
-    if isinstance(source, Prior):
-        low, high = BETA_SHAPE_RANGE
-        shapes = (source.alpha, source.beta)
-        if source.kind == "beta" and not all(low <= shape <= high for shape in shapes):
-            raise ValueError(
-                f"beta prior parameters must lie in [2**-20, 2**20] to be simulated, "
-                f"got ({source.alpha}, {source.beta})"
-            )
-    elif not 0 <= source <= 1:
+    if not isinstance(source, Prior) and not 0 <= source <= 1:
         raise ValueError(f"theta must lie in [0, 1], got {source}")
 
 
@@ -174,157 +169,45 @@ class SimulationReport(NamedTuple):
     steps: tuple[StepAccuracy, ...]
 
 
-# Each draw's Halley steps in the beta quantile stop after a step whose
-# Newton part moves ln I by no more than the tolerance (measured in ln I, it
-# holds wherever x lies, even near 1 where t = ln x is tiny): the error left
-# is of order its cube, far below 2**-53.  The cap only bounds the loop.
-_HALLEY_STEPS = 20
-_STEP_TOLERANCE = 2.0**-20
-# draws per call of the Halley loop, whose ~15 temporaries are each this long
-_QUANTILE_BLOCK = 1 << 12
+def _is_beta(source: ThetaSource) -> bool:
+    return isinstance(source, Prior) and source.kind == "beta"
 
 
-def _continued_fraction(a: float, b: float) -> tuple[list[float], float]:
-    """The coefficients c_1..c_n of r(x) = 1 + c_1 x / (1 + c_2 x / (1 + ...)),
-    the continued fraction in I_x(a, b) = x^a (1-x)^b / (a B(a, b) r(x))
-    (DLMF 8.17.22), and ln I at the split point x0 = (a+1)/(a+b+2).
-
-    Below x0 the fraction converges faster the smaller x is, so n is the
-    depth at which its forward evaluation at x0 (Lentz, Appl. Opt. 1976)
-    stops changing in double precision.
-    """
-    x0 = (a + 1) / (a + b + 2)
-    coefficients = []
-    r, c, d = 1.0, 1.0, 0.0
-    for j in count(1):
-        m = j // 2
-        if j % 2:
-            cj = -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))
-        else:
-            cj = m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))
-        coefficients.append(cj)
-        d = 1.0 / (1.0 + cj * x0 * d)
-        c = 1.0 + cj * x0 / c
-        r *= c * d
-        if abs(c * d - 1.0) <= 2.0**-53:
-            break
-    log_cdf = a * math.log(x0) + b * math.log1p(-x0) - _log_beta(a, b) - math.log(a * r)
-    return coefficients, log_cdf
+def _urn_cutoffs(prior: Prior, steps: int) -> list[np.ndarray]:
+    """The Polya urn's outcome cutoffs under a beta prior: for k < steps,
+    c_k[n] = ceil((alpha+n) 2^53 / (alpha+beta+k)) for n = 0..k, so that a
+    draw m is below c_k[n] with the predictive probability
+    (alpha+n)/(alpha+beta+k) of a one after n ones in k trials, rounded up
+    to a multiple of 2^-53.  Each is an exact integer ceiling on the
+    prior's dyadic value."""
+    exact = _exact(prior)
+    a, b = exact.alpha.as_integer_ratio()
+    c, e = exact.beta.as_integer_ratio()
+    # with alpha = a/b and beta = c/e, c_k[n] = ceil((low + n step) / den_k),
+    # where low = a e 2^53, step = b e 2^53 and den_k = a e + c b + k b e;
+    # ceil(x / d) is (x + d - 1) // d, one integer division per cutoff
+    low, step = (a * e) << 53, (b * e) << 53
+    rows = []
+    for k in range(steps):
+        den = a * e + c * b + k * b * e
+        start = low + den - 1
+        cutoffs = [x // den for x in range(start, start + (k + 1) * step, step)]
+        rows.append(np.array(cutoffs, np.uint64))
+    return rows
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _fraction(coefficients: list[float], x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """r(x) into ``out``, summed from the tail: r <- 1 + c_j x / r."""
-    out.fill(1.0)
-    for cj in reversed(coefficients):
-        np.divide(x, out, out=out)
-        np.multiply(out, cj, out=out)
-        np.add(out, 1.0, out=out)
-    return out
-
-
-def _log_quantile_start(a: float, b: float, p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """ln of the first guess at x with I_x(a, b) = p (Numerical Recipes,
-    ``invbetai``): Abramowitz & Stegun 26.5.22 when a, b >= 1, else the
-    small-x power law x = (a w p)^(1/a)."""
-    if a < 1 or b < 1:
-        w = math.exp(a * math.log(a / (a + b))) / a + math.exp(b * math.log(b / (a + b))) / b
-        return (math.log(a * w) + log_p) / a
-    lower = p < 0.5
-    z = np.sqrt(-2.0 * np.where(lower, log_p, np.log1p(-p)))
-    y = z - (2.30753 + 0.27061 * z) / (1.0 + z * (0.99229 + 0.04481 * z))
-    y = np.where(lower, y, -y)
-    lam = (y * y - 3.0) / 6.0
-    h = 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
-    w = y * np.sqrt(lam + h) / h - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (
-        lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
-    )
-    # x = a / (a + b e^(2w))
-    return -np.logaddexp(0.0, math.log(b / a) + 2.0 * w)
-
-
-def _log_quantile(a: float, b: float, coefficients: list[float], p: np.ndarray) -> np.ndarray:
-    """t = ln x with I_x(a, b) = p, for each p in (0, I_{x0}(a, b)].
-
-    Halley steps on ln I - ln p as a function of t, where
-    ln I = a t + b ln(1-x) - ln B(a, b) - ln(a r(x)),
-    d ln I / dt = a r / (1-x) =: g and d^2 ln I / dt^2 = g (a - (b-1) x/(1-x) - g).
-    The root lies at or below t0 = ln x0, so iterates are clamped there.
-    Each draw stops after the step it takes at a residual of at most the
-    tolerance, so its t is a function of its own p alone, whatever other
-    draws share the call.
-    """
-    t0 = math.log((a + 1) / (a + b + 2))
-    log_p = np.log(p)
-    t = np.minimum(_log_quantile_start(a, b, p, log_p), t0)
-    offset = -_log_beta(a, b) - math.log(a) - log_p
-    x, r = np.empty_like(t), np.empty_like(t)
-    active = np.ones(t.shape, dtype=bool)
-    for _ in range(_HALLEY_STEPS):
-        np.exp(t, out=x)
-        _fraction(coefficients, x, r)
-        residual = a * t + b * np.log1p(-x) - np.log(r) + offset
-        odds = x / (1.0 - x)
-        g = a * r * (1.0 + odds)
-        newton = residual / g
-        step = newton / (1.0 - 0.5 * np.clip(newton * (a - (b - 1.0) * odds - g), -1.0, 1.0))
-        np.subtract(t, step, out=t, where=active)
-        np.minimum(t, t0, out=t)
-        active &= np.abs(residual) > _STEP_TOLERANCE
-        if not active.any():
-            break
-    return t
-
-
-def _beta_quantile(a: float, b: float, u: np.ndarray) -> np.ndarray:
-    """The beta(a, b) quantile of each u in [0, 1): x with I_x(a, b) = u.
-
-    The continued fraction converges well below x0 = (a+1)/(a+b+2), so u
-    below I_{x0}(a, b) solves I_x(a, b) = u, and the rest solves
-    I_y(b, a) = 1 - u, exact for u = m 2^-53, and returns x = 1 - y.
-    u = 0 gives exactly 0.  Each set is solved in blocks of
-    ``_QUANTILE_BLOCK`` draws, so the Halley steps' temporaries stay that
-    small however long u is; a draw's x does not depend on its block.
-    """
-    coefficients, log_split = _continued_fraction(a, b)
-    split = math.exp(log_split)
-    x = np.zeros(u.shape)
-    low = np.flatnonzero((0.0 < u) & (u < split))
-    high = np.flatnonzero(u >= split)
-    for start in range(0, low.size, _QUANTILE_BLOCK):
-        block = low[start : start + _QUANTILE_BLOCK]
-        x[block] = np.exp(_log_quantile(a, b, coefficients, u[block]))
-    if high.size:
-        swapped, _ = _continued_fraction(b, a)
-        for start in range(0, high.size, _QUANTILE_BLOCK):
-            block = high[start : start + _QUANTILE_BLOCK]
-            x[block] = -np.expm1(_log_quantile(b, a, swapped, 1.0 - u[block]))
-    return x
-
-
-def _theta_cutoffs(
-    source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray | np.uint64:
+def _theta_cutoffs(source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """The ``_cutoffs`` of each replication's theta: one for a fixed source,
-    else those of the prior's inverse-CDF image of slot 0 (``out`` and
-    ``scratch`` are overwritten)."""
+    else those of the discrete prior's inverse-CDF image of slot 0 (``out``
+    and ``scratch`` are overwritten)."""
     if not isinstance(source, Prior):
         return _cutoffs(float(source))
     m = _draws(keys, 0, out, scratch)
-    if source.kind == "discrete":
-        cumulative = np.cumsum([float(w) for _, w in source.atoms])
-        cumulative[-1] = 1.0  # guard the top bin against float round-off
-        # u = m 2^-53 < c exactly when m < _cutoffs(c), so the bins need no u
-        bins = np.searchsorted(_cutoffs(cumulative), m, side="right")
-        return _cutoffs(np.array([float(v) for v, _ in source.atoms]))[bins]
-    theta = _beta_quantile(float(source.alpha), float(source.beta), m * 2.0**-53)
-    # _cutoffs in place: theta's memory becomes the cutoffs
-    cutoffs = theta.view(np.uint64)
-    np.ceil(np.multiply(theta, 2.0**53, out=theta), out=cutoffs, casting="unsafe")
-    return cutoffs
+    cumulative = np.cumsum([float(w) for _, w in source.atoms])
+    cumulative[-1] = 1.0  # guard the top bin against float round-off
+    # u = m 2^-53 < c exactly when m < _cutoffs(c), so the bins need no u
+    bins = np.searchsorted(_cutoffs(cumulative), m, side="right")
+    return _cutoffs(np.array([float(v) for v, _ in source.atoms]))[bins]
 
 
 def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[list, list]]:
@@ -409,9 +292,10 @@ def _chunks(total: int, chunk_size: int, *dtypes) -> Iterator[tuple[np.ndarray, 
     loop's own operations write into them: glibc serves chunk-sized
     temporaries from freshly mapped pages, which fault on first touch.
     A chunk still allocates its indices (mixed in place into the keys), a
-    prior's theta cutoffs with the beta quantile's u and index sets, and
-    the gathers of the replications that read a prediction slot.  The last
-    chunk, which may be shorter, gets views of the buffers' first entries."""
+    discrete prior's theta cutoffs, and the gathers of the replications
+    that read a prediction slot in a run that does not cover them all.
+    The last chunk, which may be shorter, gets views of the buffers' first
+    entries."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     size = min(chunk_size, total)
@@ -428,25 +312,39 @@ def simulate_accuracy(
 ) -> SimulationReport:
     """Empirical per-step accuracy of ``array`` under the configured process.
 
-    Each replication draws theta (fixed value or one draw from the prior),
-    then a Bernoulli(theta) outcome sequence.  At step k the prediction of
-    trial k+1 is Bernoulli(phi[k, n_k]) with n_k the running count of ones,
-    and a hit is recorded when prediction and outcome agree.  ``chunk_size``
-    only bounds memory; it never changes the result.
+    Each replication's outcomes are Bernoulli(theta) given theta, a fixed
+    value or a discrete prior's draw; under a beta prior they come from the
+    Polya urn, whose sequences have the same law.  At step k the prediction
+    of trial k+1 is Bernoulli(phi[k, n_k]) with n_k the running count of
+    ones, and a hit is recorded when prediction and outcome agree.
+    ``chunk_size`` only bounds memory; it never changes the result.
     """
     horizon = config.horizon
     rows = _phi_rows(array, horizon)
     hits = [0] * horizon
     total = config.replications
+    source = config.theta_source
     # counts never exceed the horizon, and neither does any run bound
-    counts_dtype = np.min_scalar_type(horizon)
-    chunks = _chunks(total, chunk_size, np.uint64, np.uint64, counts_dtype, bool, bool, bool, bool)
-    for reps, (bits, scratch, counts, outcome, predicted, inside, spare) in chunks:
+    dtypes = [np.uint64, np.uint64, np.min_scalar_type(horizon), bool, bool, bool, bool]
+    urn_cut = None
+    if _is_beta(source):
+        urn_cut = _urn_cutoffs(source, horizon)
+        dtypes.append(np.intp)  # the counts' mirror that gathers the urn cutoffs
+    chunks = _chunks(total, chunk_size, *dtypes)
+    for reps, (bits, scratch, counts, outcome, predicted, inside, spare, *mirror) in chunks:
+        running = (counts, *mirror)
         keys = _keys(config.seed, reps, scratch)
-        theta_cut = _theta_cutoffs(config.theta_source, keys, bits, scratch)
-        counts.fill(0)
+        if urn_cut is None:
+            theta_cut = _theta_cutoffs(source, keys, bits, scratch)
+        for buffer in running:
+            buffer.fill(0)
         for k, (ones, fractional) in enumerate(rows):
-            np.less(_draws(keys, 1 + k, bits, scratch), theta_cut, out=outcome)
+            drawn = _draws(keys, 1 + k, bits, scratch)
+            if urn_cut is not None:
+                # mode="clip" (the counts never pass k): the default mode
+                # buffers a take's output
+                theta_cut = np.take(urn_cut[k], mirror[0], out=scratch, mode="clip")
+            np.less(drawn, theta_cut, out=outcome)
             # m < 2**53, so phi == 1.0 predicts one and phi == 0.0 zero; only
             # the cells in between read their prediction slot
             if ones:
@@ -458,13 +356,22 @@ def simulate_accuracy(
             else:
                 predicted.fill(False)
             for lo, hi, cut in fractional:
+                if lo == 0 and hi > k:
+                    # the run covers every replication: keys and counts are
+                    # read in place, with no gather
+                    drawn = _draws(keys, horizon + 2 + k, bits, scratch)
+                    if cut.ndim:
+                        cut = np.take(cut, counts, out=scratch, mode="clip")
+                    np.less(drawn, cut, out=predicted)
+                    continue
                 cells = np.flatnonzero(_in_run(counts, lo, hi, k, inside, spare))
                 if cells.size:
                     n = cells.size
                     drawn = _draws(keys[cells], horizon + 2 + k, bits[:n], scratch[:n])
                     predicted[cells] = drawn < (cut if cut.ndim == 0 else cut[counts[cells]])
             hits[k] += int(np.count_nonzero(np.equal(predicted, outcome, out=inside)))
-            np.add(counts, outcome, out=counts)
+            for buffer in running:
+                np.add(buffer, outcome, out=buffer)
     steps = []
     for k, h in enumerate(hits):
         estimate = h / total
@@ -491,9 +398,13 @@ def simulate_covariance(
 ) -> CovarianceEstimate:
     """Sample cov(x_i, x_j) across replications that redraw theta each time.
 
-    Each replication draws theta from the prior, then trials i and j
-    independently given theta, read from outcome slots i and j of the
-    layout in the module docstring (trial i >= 1 is slot i).  The estimate
+    Each replication reads trials i and j from outcome slots i and j of the
+    layout in the module docstring (trial i >= 1 is slot i): independent
+    given theta, a fixed value or a discrete prior's draw, and under a beta
+    prior the Polya urn's first two trials: the earlier of i and j at the
+    predictive of 0 ones in 0 trials and the later at that of x ones in 1,
+    x the earlier's outcome, which by exchangeability have the law of any
+    two trials.  The estimate
     converges to the variance of theta under the prior (zero for a fixed
     theta); the reported standard error is the plug-in error of the mean
     cross-deviation term.
@@ -505,13 +416,23 @@ def simulate_covariance(
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
     SimulationConfig(prior, max(i, j), replications, seed)  # checks the source and seed
+    urn_cut = None
+    if _is_beta(prior):
+        urn_cut = _urn_cutoffs(prior, 2)
+        i, j = sorted((i, j))  # the covariance is symmetric in its two trials
     sum_x = sum_y = sum_xy = 0
     chunks = _chunks(replications, chunk_size, np.uint64, np.uint64, bool, bool)
     for reps, (bits, scratch, x, y) in chunks:
         keys = _keys(seed, reps, scratch)
-        theta_cut = _theta_cutoffs(prior, keys, bits, scratch)
+        if urn_cut is None:
+            theta_cut = _theta_cutoffs(prior, keys, bits, scratch)
+        else:
+            theta_cut = urn_cut[0][0]
         np.less(_draws(keys, i, bits, scratch), theta_cut, out=x)
-        np.less(_draws(keys, j, bits, scratch), theta_cut, out=y)
+        drawn = _draws(keys, j, bits, scratch)
+        if urn_cut is not None:
+            theta_cut = np.take(urn_cut[1], x.view(np.uint8), out=scratch, mode="clip")
+        np.less(drawn, theta_cut, out=y)
         sum_x += int(np.count_nonzero(x))
         sum_y += int(np.count_nonzero(y))
         sum_xy += int(np.count_nonzero(np.logical_and(x, y, out=x)))

@@ -25,10 +25,10 @@ from freqpred.prediction import (
 from freqpred.simulator import (
     DEFAULT_CHUNK,
     SimulationConfig,
-    _beta_quantile,
     _cutoffs,
     _draws,
     _keys,
+    _urn_cutoffs,
     simulate_accuracy,
     simulate_covariance,
 )
@@ -86,17 +86,6 @@ class TestConfigValidation:
         config = SimulationConfig(theta_source=0.5, horizon=6, replications=10, seed=1)
         with pytest.raises(ValueError):
             simulate_accuracy(config, frequent_outcome_array(3))
-
-    @pytest.mark.parametrize(
-        "shapes", [(2**20 + 1, 1), (1, Fraction(1, 2**21)), (Fraction(1, 2**30), 10**9)]
-    )
-    def test_beta_shapes_outside_the_kernel_range(self, shapes):
-        with pytest.raises(ValueError, match=r"must lie in \[2\*\*-20, 2\*\*20\]"):
-            SimulationConfig(theta_source=beta_prior(*shapes), horizon=5, replications=10, seed=1)
-        with pytest.raises(ValueError, match="must lie in"):
-            simulate_covariance(beta_prior(*shapes), 1, 2, 100, 1)
-        # the range's ends are simulated
-        SimulationConfig(beta_prior(2**20, Fraction(1, 2**20)), 5, 10, 1)
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
     def test_bad_chunk_size(self, chunk_size):
@@ -292,110 +281,10 @@ class TestCovariance:
         assert first == second
 
 
-# the beta shapes the monte_carlo benchmark workload draws
-HALF_INTEGER_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 5.0)
-WIDE_SHAPES = (0.05, 0.1, 0.5, 1.0, 2.0, 3.5, 10.0, 30.0, 100.0, 500.0)
-
-
-def uniform_draws(count: int, seed: int) -> np.ndarray:
-    """0, 2**-53, 1/2 and 1 - 2**-53, then seeded draws m * 2**-53, as the
-    simulator makes them."""
-    rng = np.random.default_rng(seed)
-    ends = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
-    return np.concatenate([ends, rng.integers(0, 2**53, count - len(ends)) * 2.0**-53])
-
-
-def mpmath_beta_quantile(a: float, b: float, u: float, near: float):
-    """x with I_x(a, b) = u to 40 digits, by bisection on mpmath's betainc,
-    from a bracket of width 2**-29 around ``near`` if it holds the root."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        a, b, u = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(u)
-
-        def below(x):
-            return mpmath.betainc(a, b, 0, x, regularized=True) < u
-
-        lo, hi = mpmath.mpf(max(near - 2.0**-30, 0.0)), mpmath.mpf(min(near + 2.0**-30, 1.0))
-        if not (below(lo) or lo == 0) or below(hi):
-            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        while hi - lo > mpmath.mpf(10) ** -25:
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if below(mid) else (lo, mid)
-        return (lo + hi) / 2
-
-
-class TestBetaQuantile:
-    """The simulator's inverse of the regularized incomplete beta function,
-    which draws theta under a beta prior."""
-
-    def test_against_mpmath(self):
-        rng = np.random.default_rng(150)
-        worst = 0.0
-        for index in range(150):
-            a, b = rng.choice(HALF_INTEGER_SHAPES, size=2)
-            if index % 5:
-                m = int(rng.integers(0, 2**53))
-            else:  # small u, down to 2**-53, for the a < 1 tails
-                m = int(rng.integers(1, 2**20)) << int(rng.integers(0, 34))
-            u = m * 2.0**-53
-            x = float(_beta_quantile(a, b, np.array([u]))[0])
-            worst = max(worst, abs(float(x - mpmath_beta_quantile(a, b, u, x))))
-        assert worst <= 2e-15
-
-    @pytest.mark.parametrize("a", HALF_INTEGER_SHAPES)
-    def test_against_scipy(self, a):
-        from scipy.special import betaincinv
-
-        u = uniform_draws(10**5, 7)
-        ordered = np.sort(u)
-        for b in HALF_INTEGER_SHAPES:
-            x = _beta_quantile(a, b, u)
-            assert np.max(np.abs(x - betaincinv(a, b, u))) <= 1e-14, (a, b)
-            assert ((0.0 <= x) & (x <= 1.0)).all(), (a, b)  # also no NaN
-            assert x[0] == 0.0
-            assert (np.diff(_beta_quantile(a, b, ordered)) >= 0).all(), (a, b)
-
-    def test_each_draw_is_a_function_of_its_own_u(self):
-        # counter-based draws: a draw's theta must not depend on the other
-        # draws that share its call, neither on how u is split nor on the
-        # quantile's blocks (of 10,000 draws, the low or the high set holds
-        # at least 5,000, more than one block of 2**12)
-        rng = np.random.default_rng(20)
-        for a in HALF_INTEGER_SHAPES:
-            for b in HALF_INTEGER_SHAPES:
-                u = uniform_draws(10_000, 9)
-                whole = _beta_quantile(a, b, u)
-                cuts = np.sort(rng.integers(1, u.size, 6))
-                pieces = np.concatenate([_beta_quantile(a, b, part) for part in np.split(u, cuts)])
-                singles = np.array([_beta_quantile(a, b, u[i : i + 1])[0] for i in range(200)])
-                split_moved = int(np.count_nonzero(pieces != whole))
-                alone_moved = int(np.count_nonzero(singles != whole[:200]))
-                assert (split_moved, alone_moved) == (0, 0), (a, b)
-
-    # beta(2**-20, 2**-20), at the range's low end, puts nearly half its mass
-    # within 1e-300 of each end, and near u = 1/2 its quantile moves ~5e5
-    # times faster than u: there a rounding of u alone is worth ~1e-10
-    @pytest.mark.parametrize(
-        "shapes, tolerance",
-        [(WIDE_SHAPES, 1e-11), (tuple(2.0**e for e in (-20, -10, -3, 0, 3, 10, 20)), 1e-9)],
-    )
-    def test_shape_grids_against_scipy(self, shapes, tolerance):
-        from scipy.special import betaincinv
-
-        u = uniform_draws(10**4, 8)
-        for a in shapes:
-            for b in shapes:
-                x = _beta_quantile(a, b, u)
-                assert np.max(np.abs(x - betaincinv(a, b, u))) <= tolerance, (a, b)
-                assert ((0.0 <= x) & (x <= 1.0)).all(), (a, b)
-
-
 class TestWorkingSet:
     def test_beta_prior_chunk_peak(self):
-        # a chunk holds its buffers, theta's cutoffs, u and the quantile's
-        # index sets; the Halley steps' temporaries run in blocks of 2**12
-        # draws, so they add a bounded share, not ~15 chunk-sized vectors
+        # a chunk holds its buffers, the counts' intp mirror and its indices;
+        # the urn's cutoffs are one small table per call
         array = frequent_outcome_array(70)
         config = SimulationConfig(beta_prior(HALF, Fraction(7, 2)), 71, DEFAULT_CHUNK, 9)
         tracemalloc.start()
@@ -428,9 +317,9 @@ GOLDEN_HITS = {
     ("fixed_exact", "frequent"): (34843, 35431, 35180, 35509, 35527, 35660, 35591, 35730, 35643, 35682),
     ("fixed_exact", "laplace"): (34843, 35017, 34941, 35209, 35161, 35411, 35320, 35166, 35304, 35407),
     ("fixed_exact", "mixed"): (34843, 35431, 35180, 35202, 35527, 35481, 35417, 35495, 35513, 35581),
-    ("beta", "frequent"): (35056, 42054, 41634, 44084, 43936, 44908, 44872, 45433, 45592, 45918),
-    ("beta", "laplace"): (35056, 37450, 38139, 39238, 39681, 39968, 40227, 40196, 40460, 40715),
-    ("beta", "mixed"): (35056, 42054, 41634, 41535, 43936, 43434, 43005, 44463, 44117, 43870),
+    ("beta", "frequent"): (34826, 41942, 41846, 43986, 44007, 44867, 45033, 45490, 45655, 45880),
+    ("beta", "laplace"): (34826, 37138, 38242, 39336, 39682, 39958, 40329, 40388, 40621, 40980),
+    ("beta", "mixed"): (34826, 41942, 41846, 41545, 44007, 43355, 43134, 44511, 44264, 44157),
     ("discrete", "frequent"): (35072, 41370, 41209, 43354, 43380, 44158, 44127, 44711, 44817, 45071),
     ("discrete", "laplace"): (35072, 37198, 37964, 38745, 39269, 39530, 39691, 39734, 39953, 40388),
     ("discrete", "mixed"): (35072, 41370, 41209, 40847, 43380, 42796, 42434, 43793, 43590, 43522),
@@ -438,8 +327,8 @@ GOLDEN_HITS = {
 # frequent-outcome hits for two more beta shapes, same run: an a < 1 tail
 # and a shape with both parameters well above 1
 GOLDEN_BETA_HITS = {
-    (HALF, Fraction(7, 2)): (34982, 57785, 57576, 59883, 59810, 60646, 60680, 60836, 60907, 61059),
-    (Fraction(5), Fraction(7, 2)): (34955, 39691, 39610, 41258, 41154, 42128, 42034, 42628, 42744, 43031),
+    (HALF, Fraction(7, 2)): (34827, 57768, 57700, 59885, 59929, 60646, 60724, 61043, 60980, 61127),
+    (Fraction(5), Fraction(7, 2)): (34813, 39620, 39497, 41319, 41417, 42166, 42134, 42618, 42723, 43155),
 }
 
 GOLDEN_FIXED_STDOUT = """\
@@ -454,12 +343,12 @@ k,hits,trials,estimate,stderr,analytic_pi,z
 
 GOLDEN_PRIOR_STDOUT = """\
 k,hits,trials,estimate,stderr
-0,2475,5000,0.495,0.00707071425
-1,3005,5000,0.601,0.006925301437
-2,2973,5000,0.5946,0.006943354233
-3,3158,5000,0.6316,0.006821751095
-4,3173,5000,0.6346,0.006810034361
-5,3228,5000,0.6456,0.006764623271
+0,2458,5000,0.4916,0.007070069872
+1,2985,5000,0.597,0.006936728335
+2,2951,5000,0.5902,0.00695505514
+3,3114,5000,0.6228,0.006854489915
+4,3129,5000,0.6258,0.006843600807
+5,3186,5000,0.6372,0.006799649403
 """
 
 
@@ -483,7 +372,7 @@ class TestGolden:
 
     def test_covariance(self):
         result = simulate_covariance(beta_prior(HALF, Fraction(7, 2)), 1, 2, 70_000, 880_001)
-        assert result == (0.02230223860340862, 0.000585943571872127, 70_000)
+        assert result == (0.02248562224358307, 0.0005875804177591457, 70_000)
 
     @pytest.mark.parametrize(
         "theta_or_prior, expected",
@@ -494,14 +383,94 @@ class TestGolden:
         assert capsys.readouterr().out == expected
 
 
+def prior_accuracies(alpha, beta, horizon: int) -> list[Fraction]:
+    """E_prior[pi_k] of the frequent-outcome rule under beta(alpha, beta), for
+    k = 0..horizon-1, exactly.
+
+    With x = theta (1 - theta) and a = (k - 1) // 2 the plateau of k >= 1,
+    pi_k = 1 - sum_(i=1..a) C_(i-1) x^i - 2 C(2a, a) x^(a+1) (C_i Catalan)
+    is linear in the powers of x, and the beta moments are
+    E[x^j] = prod_(i<j) (alpha+i)(beta+i) / ((alpha+beta+2i)(alpha+beta+2i+1)).
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    moments = [Fraction(1)]
+    for i in range(horizon // 2 + 1):
+        moments.append(
+            moments[-1] * (alpha + i) * (beta + i)
+            / ((alpha + beta + 2 * i) * (alpha + beta + 2 * i + 1))
+        )
+    accuracies = [HALF]
+    for k in range(1, horizon):
+        a = (k - 1) // 2
+        catalan = sum(Fraction(math.comb(2 * i - 2, i - 1), i) * moments[i] for i in range(1, a + 1))
+        accuracies.append(1 - catalan - 2 * math.comb(2 * a, a) * moments[a + 1])
+    return accuracies
+
+
+def worst_z(hits, trials: int, exact) -> float:
+    """The largest |z| of a run's hit counts against exact accuracies, with
+    sigma taken from the exact value."""
+    return max(
+        abs(h / trials - float(p)) / math.sqrt(float(p * (1 - p)) / trials)
+        for h, p in zip(hits, exact)
+    )
+
+
+# shapes a quantile of theta could not reach: nearly all mass at 0, and
+# nearly all within 1e-4 of 1/2
+EXTREME_SHAPES = [(Fraction(1, 10**9), 5), (10**9, 10**9)]
+
+
+class TestPolyaUrn:
+    """A beta prior simulated as the Polya urn reproduces the exact prior
+    accuracy.  Each test holds every step within 5 sigma: over the ~180
+    z-values below, a correct simulator fails that with probability ~1e-4
+    (at 4 sigma it would be ~1%)."""
+
+    @pytest.mark.parametrize(
+        "prior", [beta_prior(2, 3), beta_prior(0.3, 0.7), *(beta_prior(*s) for s in EXTREME_SHAPES)]
+    )
+    def test_cutoffs_are_exact_ceilings(self, prior):
+        alpha, beta = Fraction(prior.alpha), Fraction(prior.beta)
+        for k, row in enumerate(_urn_cutoffs(prior, 12)):
+            expected = [math.ceil((alpha + n) * 2**53 / (alpha + beta + k)) for n in range(k + 1)]
+            assert row.tolist() == expected
+
+    def test_exact_moments_match_a_point_mass(self):
+        # beta(c m, c (1 - m)) tends to a point mass at m as c grows; at
+        # c = 10**30 its accuracies agree with pi_k(m) to ~1e-29
+        limit = prior_accuracies(Fraction(10**30, 4), Fraction(3 * 10**30, 4), 20)
+        for k, value in enumerate(limit):
+            assert abs(value - accuracy_recursive(k, Fraction(1, 4))) < Fraction(1, 10**25)
+
+    @pytest.mark.parametrize("shape", EXTREME_SHAPES)
+    def test_extreme_shapes(self, shape):
+        config = SimulationConfig(beta_prior(*shape), 71, 100_000, 880_001)
+        report = simulate_accuracy(config, frequent_outcome_array(70))
+        hits = [step.hits for step in report.steps]
+        assert worst_z(hits, 100_000, prior_accuracies(*shape, 71)) <= 5
+
+    @pytest.mark.parametrize("spec", ["beta:1/1000000000,5", "beta:1000000000,1000000000"])
+    def test_extreme_shapes_through_the_cli(self, capsys, spec):
+        assert cli.main(["simulate", spec, "71", "1000", "--seed", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 72
+
+    def test_goldens(self):
+        runs = [((2, 3), GOLDEN_HITS["beta", "frequent"], 70_000)]
+        runs += [(shape, hits, 70_000) for shape, hits in GOLDEN_BETA_HITS.items()]
+        stdout_hits = [int(row.split(",")[1]) for row in GOLDEN_PRIOR_STDOUT.splitlines()[1:]]
+        runs.append(((2, 3), stdout_hits, 5_000))
+        for shape, hits, trials in runs:
+            assert worst_z(hits, trials, prior_accuracies(*shape, len(hits))) <= 5, shape
+
+
 def reference_thetas(source, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """Each replication's theta as a float, by the simulator's earlier
-    prologue: slot 0's u = m * 2**-53 mapped through the prior's inverse CDF."""
+    prologue: slot 0's u = m * 2**-53 mapped through the discrete prior's
+    inverse CDF."""
     if not isinstance(source, Prior):
         return float(source)
     u = _draws(keys, 0, out, scratch) * 2.0**-53
-    if source.kind == "beta":
-        return _beta_quantile(float(source.alpha), float(source.beta), u)
     values = np.array([float(v) for v, _ in source.atoms])
     cumulative = np.cumsum([float(w) for _, w in source.atoms])
     cumulative[-1] = 1.0
@@ -512,10 +481,12 @@ def gather_loop_hits(
     config: SimulationConfig, array: PredictionArray, chunk_size: int
 ) -> list[int]:
     """Hits per step by the simulator's earlier loop, kept as the reference:
-    theta cutoffs from float thetas, and each row as per-count tables
-    (cutoff, phi == 1.0, 0 < phi < 1), read through int64 running counts
-    with np.take."""
+    theta cutoffs from float thetas, or a beta prior's urn cutoffs, and each
+    row as per-count tables (cutoff, phi == 1.0, 0 < phi < 1), all read
+    through int64 running counts."""
     horizon = config.horizon
+    source = config.theta_source
+    urn = _urn_cutoffs(source, horizon) if getattr(source, "kind", None) == "beta" else None
     rows = []
     for row in array.rows[:horizon]:
         phi = np.array([float(entry) for entry in row])
@@ -525,9 +496,12 @@ def gather_loop_hits(
         reps = np.arange(start, min(start + chunk_size, config.replications), dtype=np.uint64)
         bits, scratch = np.empty_like(reps), np.empty_like(reps)
         keys = _keys(config.seed, reps, scratch)
-        theta_cut = _cutoffs(reference_thetas(config.theta_source, keys, bits, scratch))
+        if urn is None:
+            theta_cut = _cutoffs(reference_thetas(source, keys, bits, scratch))
         counts = np.zeros(reps.size, dtype=np.int64)
         for k, (phi_cut, ones, split) in enumerate(rows):
+            if urn is not None:
+                theta_cut = urn[k][counts]
             outcome = _draws(keys, 1 + k, bits, scratch) < theta_cut
             predicted = np.take(ones, counts)
             cells = np.flatnonzero(np.take(split, counts))
