@@ -196,7 +196,9 @@ def _urn_cutoffs(prior: Prior, steps: int) -> list[np.ndarray]:
     return rows
 
 
-def _theta_cutoffs(source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+def _theta_cutoffs(
+    source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray | np.uint64:
     """The ``_cutoffs`` of each replication's theta: one for a fixed source,
     else those of the discrete prior's inverse-CDF image of slot 0 (``out``
     and ``scratch`` are overwritten)."""
