@@ -15,21 +15,30 @@ routes are provided and must agree:
 Every ``pi_k`` is a polynomial in theta with integer coefficients, so at
 ``theta = p/d`` it is an integer over a power of d, and a float theta is
 exactly such a p/d (its dyadic value).  ``bin_pmf``, ``h_function``, the
-direct, recursive, condensed and expanded routes and the curve build that
-integer and divide once, by the rounding rule of ``combinatorics._number``;
-the threshold search compares it with the target, and the t-table rounds
-a certified floor of it (below).  The condensed route is one numerator
-over ``d^(2a+2)``, its Catalan sum from ``combinatorics._catalan_terms``.
+direct, recursive, condensed and expanded routes and the exact curve build
+that integer and divide once, by the rounding rule of
+``combinatorics._number``; the t-table, the float curve and the threshold
+search decide from a certified enclosure of it where they can (below), and
+from the integer itself where they cannot.  The condensed route is one
+numerator over ``d^(2a+2)``, its Catalan sum from
+``combinatorics._catalan_terms``.
 
 The plateau increments are summed as integers, with no gcd per term.
 ``_plateau_numerators`` yields ``S_a = 2 d^(2a+2) pi_(2a+1)``, which obeys
 
     S_0 = d^2 + (d-2p)^2,   S_a = d^2 S_(a-1) + C(2a, a) (p(d-p))^a (d-2p)^2,
 
-and is the one plateau stream behind ``accuracy_recursive``,
-``accuracy_curve`` and ``threshold_k``.  The t-table runs its dynamic
-program on integers, row k scaled by ``2 d^(2k)``, or, on a float theta,
-floored back to one fixed scale after each step.
+and is the exact plateau stream behind ``accuracy_recursive`` and the
+exact ``accuracy_curve``.  Its integers grow by 2 log2(d) bits a plateau,
+so a scan to plateau a costs O(a^2) bits.  ``_plateau_floors`` sums the
+same increments in fixed point at 2^P instead, rounding each term down,
+at most a(a+1)/2 units below the exact sum at plateau a: that enclosure
+decides ``threshold_k`` (exact or float theta) and the float
+``accuracy_curve`` from integers of about P bits, and the exact stream
+decides only what the enclosure cannot (Ziv's rounding test).  The
+t-table runs its dynamic program on integers, row k scaled by
+``2 d^(2k)``, or, on a float theta, floored back to one fixed scale after
+each step.
 """
 
 from __future__ import annotations
@@ -64,6 +73,11 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 _GUARD_BITS = 64  # of a float t-table, past the 2 bitlength(k) its floors can lose
+# P of the plateau enclosure, in the order tried.  At 128 bits it is far
+# narrower than a double's spacing on [1/2, 1] for any k below 2^30; the
+# raised P makes it narrower than 2^-100 of the smallest subnormal for any
+# k below 2^20, so a gap of any size is decided as well
+_ENCLOSURE_BITS = (128, 1216)
 
 
 def _ratio(theta: Theta) -> tuple[int, int, bool]:
@@ -94,6 +108,28 @@ def _plateau_numerators(p: int, d: int) -> Iterator[int]:
         a += 1
         central = central * pq * (2 * (2 * a - 1)) // a
         s = d2 * s + central * lift
+
+
+def _plateau_floors(p: int, d: int, bits: int) -> Iterator[int]:
+    """Yield L_0, L_1, ...: the sum sum_(i<=a) C(2i, i) x^i, x = p(d-p)/d^2,
+    in fixed point at 2^bits, rounded down.
+
+    pi_(2a+1) = 1/2 + (d-2p)^2 Sigma_a / (2 d^2), Sigma_a that sum.  The term
+    t_0 = 2^bits, and t_i is floored from t_(i-1) by the exact ratio
+    p(d-p)(4i-2) / (d^2 i) = 4x (1 - 1/(2i)) < 1.  A floor loses under one
+    unit and the ratio shrinks what was lost before, so t_i is under i units
+    below C(2i, i) x^i 2^bits, and L_a <= 2^bits Sigma_a <= L_a + a(a+1)/2.
+    The integers stay near bits + 2 log2(d) bits, against the 2a log2(d)
+    of ``_plateau_numerators``' S_a.
+    """
+    pq, d2 = p * (d - p), d * d
+    term = total = 1 << bits
+    a = 0
+    while True:
+        yield total
+        a += 1
+        term = term * pq * (4 * a - 2) // (d2 * a)
+        total += term
 
 
 def bin_pmf(n: int, k: int, theta: Theta) -> Theta:
@@ -331,30 +367,113 @@ class CurvePoint(NamedTuple):
     gap: Theta
 
 
+def _exact_plateaus(p: int, d: int, as_float: bool, count: int) -> Iterator[tuple]:
+    """(pi_(2a+1), ideal - pi_(2a+1)) for a < count, from the exact stream,
+    each exact or the exact value rounded once."""
+    top = max(p, d - p)  # ideal = top / d
+    ideal = _number(top, d, as_float)
+    scale, ideal_scaled = 2 * d * d, 2 * top * d  # 2 d^(2a+2), and ideal times it
+    for s in islice(_plateau_numerators(p, d), count):
+        pi = _number(s, scale, as_float)
+        yield pi, (ideal_scaled - s) / scale if as_float else ideal - pi
+        scale *= d * d
+        ideal_scaled *= d * d
+
+
+def _rounded_plateaus(p: int, d: int, bits: int, count: int) -> list[tuple] | None:
+    """(pi_(2a+1), ideal - pi_(2a+1)) as floats for a < count, from the
+    fixed-point enclosure at 2^bits, or None if one end is undecided.
+
+    With m = |d - 2p| and Sigma_a as in ``_plateau_floors``,
+    pi = (d^2 2^bits + m^2 2^bits Sigma_a) / (d^2 2^(bits+1)) and
+    ideal - pi = (d m 2^bits - m^2 2^bits Sigma_a) / (d^2 2^(bits+1)), since
+    2 max(p, d-p) - d = m.  2^bits Sigma_a lies in [L_a, L_a + a(a+1)/2];
+    where both ends of both enclosures round to the same double, that
+    double is the exact value rounded once.  A gap is never negative, so
+    its low end is clamped at 0.
+    """
+    m2 = (d - 2 * p) ** 2
+    scale = d * d << (bits + 1)
+    half, rise = d * d << bits, d * abs(d - 2 * p) << bits  # 1/2, ideal - 1/2, times scale
+    points = []
+    for a, low in zip(range(count), _plateau_floors(p, d, bits)):
+        low *= m2
+        high = low + m2 * (a * (a + 1) // 2)
+        pi, gap = (half + low) / scale, (rise - low) / scale
+        if pi != (half + high) / scale or gap != max(rise - high, 0) / scale:
+            return None
+        points.append((pi, gap))
+    return points
+
+
 def accuracy_curve(theta: Theta, k_max: int) -> list[CurvePoint]:
     """Step-function profile (k, pi_k, ideal, ideal - pi_k) for k = 1..k_max.
 
-    Accumulated exactly even for float input (on its dyadic value) so the
-    reported gap can never dip below zero once pi_k has converged to
-    within float noise of its limit; floats are emitted when a float came
-    in, each rounded once from the exact value.
+    An exact theta gives exact ``Fraction`` values from the exact plateau
+    stream.  A float theta gives each pi_k and gap as the exact value on its
+    dyadic value rounded once, so a gap is never negative.  Those floats
+    come from the fixed-point enclosure of ``_plateau_floors``: at 2^P,
+    P the first of ``_ENCLOSURE_BITS``, the sum at plateau a is at most
+    a(a+1)/2 units of 2^-P below its exact value, and the curve is read from
+    it if both ends of every pi and every gap round to the same double.  If
+    one does not (a gap too small for P), the whole curve is taken again at
+    the raised P, whose units lie far below the smallest subnormal, and, if
+    still undecided (a value that close to a rounding boundary), from the
+    exact stream.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     p, d, as_float = _ratio(theta)
-    top = max(p, d - p)  # ideal = top / d
-    ideal = _number(top, d, as_float)
-    scale, ideal_scaled = 2 * d * d, 2 * top * d  # 2 d^(2a+2), and ideal times it
+    ideal = _number(max(p, d - p), d, as_float)
+    count = _plateau_index(k_max) + 1
+    plateaus = None
+    if as_float:
+        for bits in _ENCLOSURE_BITS:
+            plateaus = _rounded_plateaus(p, d, bits, count)
+            if plateaus is not None:
+                break
+    if plateaus is None:
+        plateaus = _exact_plateaus(p, d, as_float, count)
     points = []
-    for k, s in zip(range(1, k_max + 1, 2), _plateau_numerators(p, d)):
-        pi = _number(s, scale, as_float)
-        gap = (ideal_scaled - s) / scale if as_float else ideal - pi
+    for k, (pi, gap) in zip(range(1, k_max + 1, 2), plateaus):
         points.append(CurvePoint(k, pi, ideal, gap))
         if k < k_max:
             points.append(CurvePoint(k + 1, pi, ideal, gap))
-        scale *= d * d
-        ideal_scaled *= d * d
     return points
+
+
+def _enclosed_crossing(p: int, d: int, num: int, den: int, bits: int) -> int | None:
+    """The first plateau a with pi_(2a+1)(p/d) >= num/den, decided on the
+    fixed-point enclosure at 2^bits, or None where it cannot decide.
+
+    With Sigma_a as in ``_plateau_floors``, pi_(2a+1) >= num/den iff
+    lift 2^bits Sigma_a >= need, lift = (d-2p)^2 den and
+    need = (2 num - den) d^2 2^bits.  The answer is the first a whose low
+    sum L_a reaches need / lift, provided the high sum of the plateau
+    before, L_(a-1) + a(a-1)/2, is still below it.  The enclosure cannot
+    decide where that fails (a target at or within the bound of some pi_k),
+    nor once the floored terms vanish and L_a stops growing.
+    """
+    lift = (d - 2 * p) ** 2 * den
+    need = (2 * num - den) * d * d << bits
+    reach = -(-need // lift)  # an integer reaches need / lift iff it reaches this
+    previous = None
+    for a, low in enumerate(_plateau_floors(p, d, bits)):
+        if low >= reach:
+            return a if a == 0 or previous + a * (a - 1) // 2 < reach else None
+        if low == previous:
+            return None
+        previous = low
+
+
+def _exact_crossing(p: int, d: int, num: int, den: int) -> int:
+    """The first plateau a with pi_(2a+1)(p/d) >= num/den, on the exact
+    stream: S_a den >= num 2 d^(2a+2).  Runs until it finds one."""
+    scaled_target = 2 * d * d * num  # target times 2 d^(2a+2), times den
+    for a, s in enumerate(_plateau_numerators(p, d)):
+        if s * den >= scaled_target:
+            return a
+        scaled_target *= d * d
 
 
 def threshold_k(theta: Theta, target: Theta) -> int | None:
@@ -363,9 +482,16 @@ def threshold_k(theta: Theta, target: Theta) -> int | None:
     None means the target exceeds what the rule can ever reach: above
     max(theta, 1-theta), or exactly at it when that limit is approached
     but never attained (every non-degenerate theta other than 1/2).
-    Any target <= 1/2 is met immediately at k = 0.  The scan walks
-    plateau pairs on the exact (dyadic, for floats) values of theta and
-    the target, so the first k that crosses the target is always odd.
+    Any target <= 1/2 is met immediately at k = 0.  Otherwise the first k
+    that crosses the target is odd, k = 2a+1, and is decided on the exact
+    (dyadic, for floats) values of theta and the target.  It is read from
+    the fixed-point enclosure of ``_plateau_floors`` at each P of
+    ``_ENCLOSURE_BITS`` in turn, whose sum at plateau a is at most
+    a(a+1)/2 units of 2^-P below its exact value: the enclosure decides a
+    when its low end at a reaches the target and its high end at a-1 does
+    not.  A target equal to some pi_k, or within that bound of one, or so
+    near the limit that the floored terms vanish first, is left to the scan
+    of the exact stream.
     """
     p, d, _ = _ratio(theta)
     if not 0 <= target <= 1:
@@ -378,8 +504,8 @@ def threshold_k(theta: Theta, target: Theta) -> int | None:
     if target == ideal and p not in (0, d):
         return None  # supremum, approached but not attained
     num, den = target.as_integer_ratio()
-    scaled_target = 2 * d * d * num  # target times 2 d^(2a+2), times den
-    for a, s in enumerate(_plateau_numerators(p, d)):
-        if s * den >= scaled_target:
+    for bits in _ENCLOSURE_BITS:
+        a = _enclosed_crossing(p, d, num, den, bits)
+        if a is not None:
             return 2 * a + 1
-        scaled_target *= d * d
+    return 2 * _exact_crossing(p, d, num, den) + 1

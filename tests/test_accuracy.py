@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import betainc
 
 from freqpred.accuracy import (
     _plateau_numerators,
@@ -304,6 +305,102 @@ class TestCurve:
             accuracy_curve(HALF, 0)
 
 
+def rounded_exact_curve(theta: float, k_max: int) -> list[tuple]:
+    """``accuracy_curve(Fraction(theta), k_max)`` rounded once, entry by
+    entry, without its gcds: a ``Fraction`` rounds as its unreduced
+    numerator over its denominator does, so each entry is the exact
+    stream's integer divided once."""
+    p, d = Fraction(theta).as_integer_ratio()
+    top = max(p, d - p)
+    points = []
+    for a, s in zip(range((k_max + 1) // 2), _plateau_numerators(p, d)):
+        scale = 2 * d ** (2 * a + 2)
+        row = (s / scale, top / d, (2 * top * d ** (2 * a + 1) - s) / scale)
+        points += [(2 * a + 1, *row), (2 * a + 2, *row)]
+    return points[:k_max]
+
+
+def refuse_the_exact_stream(monkeypatch):
+    def refused(p, d):
+        raise AssertionError("exact stream")
+
+    monkeypatch.setattr(accuracy, "_plateau_numerators", refused)
+
+
+class TestFloatCurve:
+    """A float theta's curve is the exact curve rounded once, read from the
+    fixed-point enclosure wherever it decides."""
+
+    @pytest.mark.parametrize("theta", [0.001, 0.1, 0.3, 0.4731, 0.499, 0.5, 0.999])
+    def test_rounds_the_exact_curve_once(self, theta, monkeypatch):
+        expected = rounded_exact_curve(theta, 2000)
+        refuse_the_exact_stream(monkeypatch)
+        assert accuracy_curve(theta, 2000) == expected
+        assert accuracy_curve(theta, 1999) == expected[:1999]
+
+    @given(st.floats(0, 1), st.integers(1, 150))
+    @example(5e-324, 150)
+    @example(0.5 - 2**-40, 150)
+    @example(1.0, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_rounds_the_fraction_curve_once(self, theta, k_max):
+        assert accuracy_curve(theta, k_max) == [
+            (point.k, float(point.accuracy), float(point.ideal), float(point.gap))
+            for point in accuracy_curve(Fraction(theta), k_max)
+        ]
+
+    def test_gaps_too_small_for_p_take_the_exact_stream(self, monkeypatch):
+        # theta = 0.001 closes ~8 bits of its gap a plateau, so at 128 bits
+        # the gaps from k = 17 on lie inside the enclosure; with no raised P
+        # left, the exact stream decides the whole curve
+        expected = rounded_exact_curve(0.001, 400)
+        calls = []
+        stream = accuracy._plateau_numerators
+
+        def counted(p, d):
+            calls.append((p, d))
+            return stream(p, d)
+
+        monkeypatch.setattr(accuracy, "_ENCLOSURE_BITS", accuracy._ENCLOSURE_BITS[:1])
+        monkeypatch.setattr(accuracy, "_plateau_numerators", counted)
+        assert accuracy_curve(0.001, 400) == expected
+        assert calls == [(0.001).as_integer_ratio()]
+
+
+def threshold_reference(theta, target):
+    """``threshold_k`` by the scan of the exact plateau stream alone."""
+    theta, target = Fraction(theta), Fraction(target)
+    ideal = max(theta, 1 - theta)
+    if target <= HALF:
+        return 0
+    if target > ideal or (target == ideal and 0 < theta < 1):
+        return None
+    p, d = theta.as_integer_ratio()
+    return 2 * accuracy._exact_crossing(p, d, *target.as_integer_ratio()) + 1
+
+
+@st.composite
+def threshold_cases(draw):
+    """(theta, target): theta p/q with q <= 60 or a float no nearer 1/2
+    than 29/59, so the exact scan stays short; targets between 1/2 and the
+    ideal, at some pi_k, at the ideal and at or below 1/2, exact or float."""
+    theta = draw(
+        st.fractions(0, 1, max_denominator=60)
+        | st.floats(0, 1).filter(lambda t: t == 0.5 or abs(2 * t - 1) >= 1 / 59)
+    )
+    exact = Fraction(theta)
+    ideal = max(exact, 1 - exact)
+    target = draw(
+        st.fractions(0, Fraction(9, 10), max_denominator=1000).map(
+            lambda share: HALF + share * (ideal - HALF)
+        )
+        | st.integers(1, 200).map(lambda k: accuracy_recursive(k, exact))
+        | st.just(ideal)
+        | st.fractions(0, HALF)
+    )
+    return theta, float(target) if draw(st.booleans()) else target
+
+
 class TestThreshold:
     def test_headline_example(self):
         assert threshold_k(Fraction(9, 20), 0.53) == 71
@@ -339,6 +436,56 @@ class TestThreshold:
         # once 240 s for float theta: every plateau step is an exact integer step
         assert threshold_k(Fraction(49, 100), Fraction(509, 1000)) == 6763
         assert threshold_k(0.49, 0.509) == 6763
+
+    def test_far_crossing_anchor(self):
+        # the exact scan alone runs for more than 11 minutes here
+        k = threshold_k(0.499, 0.5009)
+        assert k == threshold_k(Fraction(499, 1000), Fraction(5009, 10000)) == 676385
+        # independently: ideal - pi_(2a+1) = |1 - 2 theta| I_theta(a+1, a+1)
+        # (DLMF 8.17), which crosses ideal - target = 1e-4 between a = 338191
+        # and a = 338192 by ~2.5e-6 of itself, far beyond betainc's error
+        gap = [0.002 * betainc(a + 1, a + 1, 0.499) for a in (338191, 338192)]
+        assert gap[0] > 1e-4 * (1 + 1e-7) and gap[1] < 1e-4 * (1 - 1e-7)
+
+    def test_enclosure_decides_without_the_exact_scan(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("exact scan")
+
+        monkeypatch.setattr(accuracy, "_exact_crossing", refused)
+        assert threshold_k(Fraction(9, 20), 0.53) == 71
+        assert threshold_k(0.49, 0.509) == 6763
+        assert threshold_k(Fraction(49, 100), Fraction(509, 1000)) == 6763
+
+    def test_undecided_targets_take_the_exact_scan(self, monkeypatch):
+        calls = []
+        scan = accuracy._exact_crossing
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(accuracy, "_exact_crossing", counted)
+        # a target equal to pi_71: the low sum at plateau 35 falls short of it,
+        # and the high sum there is not below it
+        theta = Fraction(9, 20)
+        assert threshold_k(theta, accuracy_recursive(71, theta)) == 71
+        # theta = 0.001 closes ~8 bits of its gap a plateau, so the floored
+        # terms vanish near a = 16 at 128 bits and a = 150 at the raised P,
+        # short of a target at a = 200
+        theta = 0.001
+        assert threshold_k(theta, accuracy_recursive(401, Fraction(theta))) == 401
+        assert len(calls) == 2
+
+    @given(threshold_cases())
+    @example((Fraction(9, 20), 0.53))
+    @example((Fraction(9, 20), Fraction(11, 20)))
+    @example((0.0, 1.0))
+    @example((Fraction(1), Fraction(1)))
+    @example((0.5, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_exact_scan(self, case):
+        theta, target = case
+        assert threshold_k(theta, target) == threshold_reference(theta, target)
 
 
 KERNEL_GRID = [Fraction(0), HALF, Fraction(1)] + [

@@ -60,6 +60,8 @@ DECK = [
     ["curve", "0.45", "60", "--format", "json"],
     ["curve", "0.4731", "40", "--digits", "17"],
     ["curve", "1/2", "10"],
+    ["curve", "0.499", "2000"],
+    ["curve", "0.001", "400", "--digits", "17"],
     ["curve", "0.45", "0"],
     # threshold
     ["threshold", "9/20", "0.53"],
@@ -68,6 +70,8 @@ DECK = [
     ["threshold", "2/5", "3/5"],
     ["threshold", "49/100", "0.509", "--format", "json"],
     ["threshold", "0.3", "0.65", "--digits", "17"],
+    ["threshold", "0.499", "0.5009"],
+    ["threshold", "0.49", "0.509", "--format", "json"],
     ["threshold", "0.45", "-0.1"],
     # posterior: both prior kinds, the conjugate closed form, ruled-out counts
     ["posterior", "beta:1,1", "4", "3"],
