@@ -320,13 +320,6 @@ def rounded_exact_curve(theta: float, k_max: int) -> list[tuple]:
     return points[:k_max]
 
 
-def refuse_the_exact_stream(monkeypatch):
-    def refused(p, d):
-        raise AssertionError("exact stream")
-
-    monkeypatch.setattr(accuracy, "_plateau_numerators", refused)
-
-
 class TestFloatCurve:
     """A float theta's curve is the exact curve rounded once, read from the
     fixed-point enclosure wherever it decides."""
@@ -334,7 +327,11 @@ class TestFloatCurve:
     @pytest.mark.parametrize("theta", [0.001, 0.1, 0.3, 0.4731, 0.499, 0.5, 0.999])
     def test_rounds_the_exact_curve_once(self, theta, monkeypatch):
         expected = rounded_exact_curve(theta, 2000)
-        refuse_the_exact_stream(monkeypatch)
+
+        def refused(p, d):
+            raise AssertionError("exact stream")
+
+        monkeypatch.setattr(accuracy, "_plateau_numerators", refused)
         assert accuracy_curve(theta, 2000) == expected
         assert accuracy_curve(theta, 1999) == expected[:1999]
 
