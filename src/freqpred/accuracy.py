@@ -367,17 +367,15 @@ class CurvePoint(NamedTuple):
     gap: Theta
 
 
-def _exact_plateaus(p: int, d: int, as_float: bool, count: int) -> Iterator[tuple]:
-    """(pi_(2a+1), ideal - pi_(2a+1)) for a < count, from the exact stream,
-    each exact or the exact value rounded once."""
-    top = max(p, d - p)  # ideal = top / d
-    ideal = _number(top, d, as_float)
-    scale, ideal_scaled = 2 * d * d, 2 * top * d  # 2 d^(2a+2), and ideal times it
+def _exact_plateaus(p: int, d: int, count: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """(pi_(2a+1), ideal - pi_(2a+1)) for a < count, exactly, from the
+    exact stream."""
+    ideal = Fraction(max(p, d - p), d)
+    scale = 2 * d * d  # 2 d^(2a+2)
     for s in islice(_plateau_numerators(p, d), count):
-        pi = _number(s, scale, as_float)
-        yield pi, (ideal_scaled - s) / scale if as_float else ideal - pi
+        pi = Fraction(s, scale)
+        yield pi, ideal - pi
         scale *= d * d
-        ideal_scaled *= d * d
 
 
 def _rounded_plateaus(p: int, d: int, bits: int, count: int) -> list[tuple] | None:
@@ -433,7 +431,9 @@ def accuracy_curve(theta: Theta, k_max: int) -> list[CurvePoint]:
             if plateaus is not None:
                 break
     if plateaus is None:
-        plateaus = _exact_plateaus(p, d, as_float, count)
+        plateaus = _exact_plateaus(p, d, count)
+        if as_float:
+            plateaus = ((float(pi), float(gap)) for pi, gap in plateaus)
     points = []
     for k, (pi, gap) in zip(range(1, k_max + 1, 2), plateaus):
         points.append(CurvePoint(k, pi, ideal, gap))

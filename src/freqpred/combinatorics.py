@@ -37,12 +37,7 @@ def _number(num: int, den: int, as_float: bool) -> float | Fraction:
     a common denominator, and rounded once: ``int / int`` is correctly
     rounded, the same bits as ``float(Fraction(num, den))``, for integers
     of any size, and does not underflow where a product of float factors
-    would.  The kernels that end here: ``catalan_series``; in ``accuracy``,
-    ``bin_pmf``, ``h_function``, ``ideal_accuracy``, the curve and all five
-    routes (the t-table on both ends of its certified floor); in
-    ``prediction``, ``conditional_accuracy``, ``posterior_mean`` under beta
-    and discrete priors, and through them ``Prior.mean``,
-    ``prior_covariance`` and ``posterior_correct_probability``.
+    would.
     """
     return num / den if as_float else Fraction(num, den)
 

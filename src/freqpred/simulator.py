@@ -36,7 +36,7 @@ simulated number calls a libm function.  Because nothing is sequential
 across replications, reports are bit-identical for any chunk size or
 degree of parallelism, and adding replications never perturbs existing
 ones.  A chunk is the set of replications that share one pass of numpy
-operations.  The default of 2^15 keeps a chunk's working vectors
+operations.  ``DEFAULT_CHUNK``, 2^15, keeps a chunk's working vectors
 (256 KiB each) inside a core's L2 cache: at 280,000 replications and 71
 steps, 2^18-replication chunks ran ~1.7x slower on a 2-vCPU Xeon VM.
 
@@ -288,30 +288,23 @@ def _in_run(counts: np.ndarray, lo: int, hi: int, top: int, out: np.ndarray, spa
     return out
 
 
-def _chunks(total: int, chunk_size: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """Each chunk's replication indices, with one buffer per dtype for its
-    vectors.  The buffers are allocated once per call, and the per-step
-    loop's own operations write into them: glibc serves chunk-sized
-    temporaries from freshly mapped pages, which fault on first touch.
-    A chunk still allocates its indices (mixed in place into the keys), a
-    discrete prior's theta cutoffs, and the gathers of the replications
-    that read a prediction slot in a run that does not cover them all.
-    The last chunk, which may be shorter, gets views of the buffers' first
-    entries."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    size = min(chunk_size, total)
-    buffers = [np.empty(size, dtype) for dtype in dtypes]
-    for start in range(0, total, chunk_size):
-        reps = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
+def _chunks(total: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Each chunk's replication indices, ``DEFAULT_CHUNK`` at a time, with
+    one buffer per dtype for its vectors.  The buffers are allocated once
+    per call, and the per-step loop's own operations write into them: glibc
+    serves chunk-sized temporaries from freshly mapped pages, which fault
+    on first touch.  A chunk still allocates its indices (mixed in place
+    into the keys), a discrete prior's theta cutoffs, and the gathers of
+    the replications that read a prediction slot in a run that does not
+    cover them all.  The last chunk, which may be shorter, gets views of
+    the buffers' first entries."""
+    buffers = [np.empty(min(DEFAULT_CHUNK, total), dtype) for dtype in dtypes]
+    for start in range(0, total, DEFAULT_CHUNK):
+        reps = np.arange(start, min(start + DEFAULT_CHUNK, total), dtype=np.uint64)
         yield reps, [buffer[: reps.size] for buffer in buffers]
 
 
-def simulate_accuracy(
-    config: SimulationConfig,
-    array: PredictionArray,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> SimulationReport:
+def simulate_accuracy(config: SimulationConfig, array: PredictionArray) -> SimulationReport:
     """Empirical per-step accuracy of ``array`` under the configured process.
 
     Each replication's outcomes are Bernoulli(theta) given theta, a fixed
@@ -319,7 +312,6 @@ def simulate_accuracy(
     Polya urn, whose sequences have the same law.  At step k the prediction
     of trial k+1 is Bernoulli(phi[k, n_k]) with n_k the running count of
     ones, and a hit is recorded when prediction and outcome agree.
-    ``chunk_size`` only bounds memory; it never changes the result.
     """
     horizon = config.horizon
     rows = _phi_rows(array, horizon)
@@ -332,7 +324,7 @@ def simulate_accuracy(
     if _is_beta(source):
         urn_cut = _urn_cutoffs(source, horizon)
         dtypes.append(np.intp)  # the counts' mirror that gathers the urn cutoffs
-    chunks = _chunks(total, chunk_size, *dtypes)
+    chunks = _chunks(total, *dtypes)
     for reps, (bits, scratch, counts, outcome, predicted, inside, spare, *mirror) in chunks:
         running = (counts, *mirror)
         keys = _keys(config.seed, reps, scratch)
@@ -390,48 +382,33 @@ class CovarianceEstimate(NamedTuple):
     replications: int
 
 
-def simulate_covariance(
-    prior: ThetaSource,
-    i: int,
-    j: int,
-    replications: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> CovarianceEstimate:
-    """Sample cov(x_i, x_j) across replications that redraw theta each time.
+def simulate_covariance(prior: ThetaSource, replications: int, seed: int) -> CovarianceEstimate:
+    """Sample covariance of two trials across replications that redraw
+    theta each time: the estimate of ``prior_covariance(prior)``.
 
-    Each replication reads trials i and j from outcome slots i and j of the
-    layout in the module docstring (trial i >= 1 is slot i): independent
-    given theta, a fixed value or a discrete prior's draw, and under a beta
-    prior the Polya urn's first two trials: the earlier of i and j at the
-    predictive of 0 ones in 0 trials and the later at that of x ones in 1,
-    x the earlier's outcome, which by exchangeability have the law of any
-    two trials.  The estimate
-    converges to the variance of theta under the prior (zero for a fixed
-    theta); the reported standard error is the plug-in error of the mean
-    cross-deviation term.
+    An exchangeable sequence has one covariance for every pair of trials,
+    so each replication reads the first two, outcome slots 1 and 2 of the
+    layout in the module docstring: independent given theta, a fixed value
+    or a discrete prior's draw, and under a beta prior the Polya urn's
+    first two draws, the second at the predictive of x ones in 1 trial, x
+    the first's outcome.  The estimate converges to the variance of theta
+    under the prior (zero for a fixed theta); the reported standard error
+    is the plug-in error of the mean cross-deviation term.
     """
-    if i == j:
-        raise ValueError("covariance requires two distinct trial indices")
-    if i < 1 or j < 1:
-        raise ValueError(f"trial indices start at 1 (slot 0 draws theta), got i={i}, j={j}")
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
-    SimulationConfig(prior, max(i, j), replications, seed)  # checks the source and seed
-    urn_cut = None
-    if _is_beta(prior):
-        urn_cut = _urn_cutoffs(prior, 2)
-        i, j = sorted((i, j))  # the covariance is symmetric in its two trials
+    SimulationConfig(prior, 2, replications, seed)  # checks the source and seed
+    urn_cut = _urn_cutoffs(prior, 2) if _is_beta(prior) else None
     sum_x = sum_y = sum_xy = 0
-    chunks = _chunks(replications, chunk_size, np.uint64, np.uint64, bool, bool)
+    chunks = _chunks(replications, np.uint64, np.uint64, bool, bool)
     for reps, (bits, scratch, x, y) in chunks:
         keys = _keys(seed, reps, scratch)
         if urn_cut is None:
             theta_cut = _theta_cutoffs(prior, keys, bits, scratch)
         else:
             theta_cut = urn_cut[0][0]
-        np.less(_draws(keys, i, bits, scratch), theta_cut, out=x)
-        drawn = _draws(keys, j, bits, scratch)
+        np.less(_draws(keys, 1, bits, scratch), theta_cut, out=x)
+        drawn = _draws(keys, 2, bits, scratch)
         if urn_cut is not None:
             theta_cut = np.take(urn_cut[1], x.view(np.uint8), out=scratch, mode="clip")
         np.less(drawn, theta_cut, out=y)

@@ -197,7 +197,7 @@ def test_criterion_09_covariance():
     prior = beta_prior(1, 1)
     target = prior_covariance(prior)
     assert target == Fraction(1, 12)
-    result = simulate_covariance(prior, 1, 2, 10**6, seed=99)
+    result = simulate_covariance(prior, 10**6, seed=99)
     assert abs(result.estimate - float(target)) <= 3 * result.stderr
     print("criterion 09 PASS — simulated cov(x_i, x_j) within 3 stderr of 1/12 at 1e6 replications")
 

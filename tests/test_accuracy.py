@@ -363,6 +363,24 @@ class TestFloatCurve:
         assert accuracy_curve(0.001, 400) == expected
         assert calls == [(0.001).as_integer_ratio()]
 
+    def test_a_gap_on_a_rounding_midpoint_takes_the_exact_stream(self, monkeypatch):
+        # at theta = 1/256 the gap of k = 11 lies exactly on a rounding
+        # midpoint while every floor of _plateau_floors is still exact, so
+        # the a(a+1)/2 bound leaves it undecided at both P of the real ladder
+        expected = rounded_exact_curve(0.00390625, 12)
+        calls = []
+        stream = accuracy._plateau_numerators
+
+        def counted(p, d):
+            calls.append((p, d))
+            return stream(p, d)
+
+        monkeypatch.setattr(accuracy, "_plateau_numerators", counted)
+        assert accuracy_curve(0.00390625, 10) == expected[:10]
+        assert calls == []
+        assert accuracy_curve(0.00390625, 12) == expected
+        assert calls == [(1, 256)]
+
 
 def threshold_reference(theta, target):
     """``threshold_k`` by the scan of the exact plateau stream alone."""

@@ -62,6 +62,7 @@ DECK = [
     ["curve", "1/2", "10"],
     ["curve", "0.499", "2000"],
     ["curve", "0.001", "400", "--digits", "17"],
+    ["curve", "0.00390625", "12", "--digits", "17"],
     ["curve", "0.45", "0"],
     # threshold
     ["threshold", "9/20", "0.53"],

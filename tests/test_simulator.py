@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from freqpred import cli
+from freqpred import cli, simulator
 from freqpred.accuracy import accuracy_recursive, bin_pmf
 from freqpred.prediction import (
     PredictionArray,
@@ -87,12 +87,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             simulate_accuracy(config, frequent_outcome_array(3))
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_bad_chunk_size(self, chunk_size):
-        config = SimulationConfig(theta_source=0.5, horizon=6, replications=10, seed=1)
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            simulate_accuracy(config, frequent_outcome_array(6), chunk_size=chunk_size)
-
 
 class TestDeterminism:
     config = SimulationConfig(theta_source=0.3, horizon=12, replications=20_000, seed=777)
@@ -101,12 +95,14 @@ class TestDeterminism:
         array = frequent_outcome_array(12)
         assert simulate_accuracy(self.config, array) == simulate_accuracy(self.config, array)
 
-    def test_chunk_size_never_matters(self):
+    def test_chunk_size_never_matters(self, monkeypatch):
         small = SimulationConfig(theta_source=0.3, horizon=12, replications=2_000, seed=777)
         array = frequent_outcome_array(12)
-        baseline = simulate_accuracy(small, array, chunk_size=2_000)
+        monkeypatch.setattr(simulator, "DEFAULT_CHUNK", 2_000)
+        baseline = simulate_accuracy(small, array)
         for chunk in (1, 7, 1024, 1999):
-            assert simulate_accuracy(small, array, chunk_size=chunk) == baseline
+            monkeypatch.setattr(simulator, "DEFAULT_CHUNK", chunk)
+            assert simulate_accuracy(small, array) == baseline
 
     def test_different_seeds_differ(self):
         array = frequent_outcome_array(12)
@@ -218,27 +214,23 @@ class TestPriorDrawnTheta:
 
 
 class TestCovariance:
-    def test_requires_distinct_indices(self):
-        with pytest.raises(ValueError):
-            simulate_covariance(beta_prior(1, 1), 2, 2, 1000, 1)
-
     def test_requires_two_replications(self):
         with pytest.raises(ValueError, match="at least 2 replications"):
-            simulate_covariance(beta_prior(1, 1), 1, 2, 1, 1)
+            simulate_covariance(beta_prior(1, 1), 1, 1)
 
     def test_degenerate_prior_gives_independence(self):
         prior = discrete_prior([(HALF, Fraction(1))])
-        result = simulate_covariance(prior, 1, 2, 100_000, 8)
+        result = simulate_covariance(prior, 100_000, 8)
         assert abs(result.estimate) <= 3 / result.replications**0.5
 
     def test_uniform_beta_matches_prior_covariance(self):
-        result = simulate_covariance(beta_prior(1, 1), 1, 2, 200_000, 99)
+        result = simulate_covariance(beta_prior(1, 1), 200_000, 99)
         target = float(prior_covariance(beta_prior(1, 1)))
         assert abs(result.estimate - target) <= 3 * result.stderr
 
     def test_two_atom_matches_prior_covariance(self):
         prior = discrete_prior([(Fraction(2, 5), HALF), (Fraction(3, 5), HALF)])
-        result = simulate_covariance(prior, 3, 9, 200_000, 12)
+        result = simulate_covariance(prior, 200_000, 12)
         assert abs(result.estimate - float(prior_covariance(prior))) <= 3 * result.stderr
 
     def test_symmetric_priors_never_significantly_negative(self):
@@ -249,35 +241,18 @@ class TestCovariance:
             discrete_prior([(HALF, Fraction(1))]),
         ]
         for index, prior in enumerate(battery):
-            result = simulate_covariance(prior, 1, 2, 50_000, 40 + index)
+            result = simulate_covariance(prior, 50_000, 40 + index)
             assert result.estimate >= -3 * max(result.stderr, 1e-12)
-
-    def test_reads_the_requested_trials(self):
-        prior = beta_prior(1, 1)
-        first_two = simulate_covariance(prior, 1, 2, 10_000, 7)
-        assert simulate_covariance(prior, 1, 3, 10_000, 7) != first_two
-        swapped = simulate_covariance(prior, 2, 1, 10_000, 7)
-        # the same draws; only the float summation order differs
-        assert swapped.estimate == pytest.approx(first_two.estimate, rel=1e-12)
-        assert swapped.stderr == pytest.approx(first_two.stderr, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [1.5, -0.5, math.nan])
     def test_rejects_theta_outside_the_unit_interval(self, theta):
         with pytest.raises(ValueError, match="theta must lie in"):
-            simulate_covariance(theta, 1, 2, 100, 1)
+            simulate_covariance(theta, 100, 1)
 
-    def test_rejects_the_theta_slot(self):
-        with pytest.raises(ValueError):
-            simulate_covariance(beta_prior(1, 1), 0, 1, 1000, 1)
-
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_rejects_chunk_size_below_one(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7, chunk_size=chunk_size)
-
-    def test_deterministic(self):
-        first = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7)
-        second = simulate_covariance(beta_prior(1, 1), 1, 2, 10_000, 7, chunk_size=333)
+    def test_deterministic(self, monkeypatch):
+        first = simulate_covariance(beta_prior(1, 1), 10_000, 7)
+        monkeypatch.setattr(simulator, "DEFAULT_CHUNK", 333)
+        second = simulate_covariance(beta_prior(1, 1), 10_000, 7)
         assert first == second
 
 
@@ -358,20 +333,22 @@ class TestGolden:
 
     @pytest.mark.parametrize("chunk_size", [DEFAULT_CHUNK, 12_347, 1 << 18])
     @pytest.mark.parametrize("source, array", sorted(GOLDEN_HITS))
-    def test_hits(self, source, array, chunk_size):
+    def test_hits(self, source, array, chunk_size, monkeypatch):
+        monkeypatch.setattr(simulator, "DEFAULT_CHUNK", chunk_size)
         config = SimulationConfig(GOLDEN_SOURCES[source], 10, 70_000, 880_001)
-        report = simulate_accuracy(config, GOLDEN_ARRAYS[array], chunk_size=chunk_size)
+        report = simulate_accuracy(config, GOLDEN_ARRAYS[array])
         assert tuple(step.hits for step in report.steps) == GOLDEN_HITS[source, array]
 
     @pytest.mark.parametrize("chunk_size", [DEFAULT_CHUNK, 12_347])
     @pytest.mark.parametrize("shape", sorted(GOLDEN_BETA_HITS))
-    def test_beta_shape_hits(self, shape, chunk_size):
+    def test_beta_shape_hits(self, shape, chunk_size, monkeypatch):
+        monkeypatch.setattr(simulator, "DEFAULT_CHUNK", chunk_size)
         config = SimulationConfig(beta_prior(*shape), 10, 70_000, 880_001)
-        report = simulate_accuracy(config, GOLDEN_ARRAYS["frequent"], chunk_size=chunk_size)
+        report = simulate_accuracy(config, GOLDEN_ARRAYS["frequent"])
         assert tuple(step.hits for step in report.steps) == GOLDEN_BETA_HITS[shape]
 
     def test_covariance(self):
-        result = simulate_covariance(beta_prior(HALF, Fraction(7, 2)), 1, 2, 70_000, 880_001)
+        result = simulate_covariance(beta_prior(HALF, Fraction(7, 2)), 70_000, 880_001)
         assert result == (0.02248562224358307, 0.0005875804177591457, 70_000)
 
     @pytest.mark.parametrize(
@@ -562,11 +539,12 @@ class TestGatherOracle:
         + [frequent_outcome_array(12), laplace_array(12), mixed_array(12), all_ones_array(12)],
         ids=["random0", "random1", "random2", "random3", "frequent", "laplace", "mixed", "ones"],
     )
-    def test_same_hits(self, array, source, chunk_size):
+    def test_same_hits(self, array, source, chunk_size, monkeypatch):
         # three chunks of 12,347; one-replication chunks cost ~1 ms each
         replications = 60 if chunk_size == 1 else 30_000
         config = SimulationConfig(ORACLE_SOURCES[source], 12, replications, 4_242)
-        report = simulate_accuracy(config, array, chunk_size=chunk_size)
+        monkeypatch.setattr(simulator, "DEFAULT_CHUNK", chunk_size)
+        report = simulate_accuracy(config, array)
         assert [step.hits for step in report.steps] == gather_loop_hits(config, array, chunk_size)
 
     @pytest.mark.parametrize("source", ["fixed-1/2", "fixed-1", "atoms-0-3/10-1"])
