@@ -23,6 +23,11 @@ freqpred accuracy 601 9/20
 freqpred accuracy 601 0.45
 # plateau a = 1500: a row of 1,502 coefficients by the exact ratio
 freqpred accuracy 3001 9/20 --path expanded
+# an exact curve the size of the benchmark's: each plateau's Fraction
+# rounded once, the last row and the JSON row count pinned
+freqpred curve 9/20 700 | tail -n 1 | grep -qx '700,0.5495992716,0.55,0.0004007284421'
+freqpred curve 9/20 700 --format json \
+  | python -c 'import json, sys; sys.exit(len(json.load(sys.stdin)) != 700)'
 freqpred simulate beta:2,3 71 1000 --seed 1
 # a beta prior is simulated as a Polya urn, so no shape is out of reach,
 # not even one with nearly all its mass at 0

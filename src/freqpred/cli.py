@@ -86,7 +86,18 @@ def parse_prior(spec: str):
     raise ValueError(f"unknown prior kind in {spec!r} (use beta: or discrete:)")
 
 
-def _csv_number(value, spec: str) -> str:
+# No double's exact decimal expansion has more than 767 significant digits
+# (the largest subnormal has exactly that many), so %.767g prints the same
+# text as any larger precision; a larger --digits is clamped to it instead of
+# sizing a buffer by it for every cell.
+MAX_SIGNIFICANT_DIGITS = 767
+
+
+def _csv_cell(value, spec: str):
+    """A CSV cell by ``isinstance``: a string as itself, a bool as
+    true/false, an int by ``str``, anything else as ``spec % float(value)``."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -94,17 +105,25 @@ def _csv_number(value, spec: str) -> str:
     return spec % float(value)
 
 
+def _json_float(value: float) -> str:
+    # RFC 8259 has no Infinity or NaN, so a non-finite float becomes null
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
 def _json_scalar(value) -> str:
-    """``value`` as ``json.dumps`` writes it, by json's own scalar encoders;
-    RFC 8259 has no Infinity or NaN, so a non-finite float becomes null."""
+    """``value`` as ``json.dumps`` writes it, by json's own scalar encoders."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    value = float(value)
-    return float.__repr__(value) if math.isfinite(value) else "null"
+    return _json_float(float(value))
+
+
+# the writers for cells of exactly these types; every other type (bool,
+# Fraction, subclasses, numpy scalars) goes to _json_scalar
+_JSON_CELLS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
 
 
 def emit(fmt: str, out: str | None, header: list[str], rows: list, digits: int) -> None:
@@ -113,25 +132,31 @@ def emit(fmt: str, out: str | None, header: list[str], rows: list, digits: int) 
 
     The JSON is byte for byte ``json.dumps(rows as dicts, indent=2)``, but
     each row fills one template of ``"    <key>: "`` prefixes instead of
-    going through json's pure-Python indenting encoder."""
+    going through json's pure-Python indenting encoder.  Each cell's writer
+    is looked up by its exact type, which gives the same text as the
+    ``isinstance`` tests of ``_json_scalar`` and ``_csv_cell`` for a str,
+    int or float."""
     if fmt == "json":
+        write = _JSON_CELLS.get
         prefixes = [f"    {encode_basestring_ascii(name)}: " for name in header]
         objects = ",\n".join(
             "  {\n"
-            + ",\n".join(prefix + _json_scalar(value) for prefix, value in zip(prefixes, row))
+            + ",\n".join(
+                prefix + write(type(value), _json_scalar)(value)
+                for prefix, value in zip(prefixes, row)
+            )
             + "\n  }"
             for row in rows
         )
         text = f"[\n{objects}\n]\n" if rows else "[]\n"
     else:
-        spec = f"%.{digits}g"
+        spec = f"%.{min(digits, MAX_SIGNIFICANT_DIGITS)}g"
+        write = {str: str.__str__, int: int.__repr__, float: spec.__mod__}.get
+        other = functools.partial(_csv_cell, spec=spec)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [cell if isinstance(cell, str) else _csv_number(cell, spec) for cell in row]
-            for row in rows
-        )
+        writer.writerows([write(type(cell), other)(cell) for cell in row] for row in rows)
         text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)
@@ -174,7 +199,20 @@ def cmd_accuracy(args):
 
 def cmd_curve(args):
     points = acc.accuracy_curve(parse_theta(args.theta), args.k_max)
-    return ["k", "pi_k", "ideal", "gap"], points, 0
+    # each value is printed as float(value), so round each value object once:
+    # a plateau's two rows share their pi and gap, and every row shares ideal
+    # (identity only skips a repeated float(), it never decides a value)
+    rows = []
+    pi = ideal = gap = None
+    for k, pi_k, ideal_k, gap_k in points:
+        if pi_k is not pi:
+            pi, pi_float = pi_k, float(pi_k)
+        if ideal_k is not ideal:
+            ideal, ideal_float = ideal_k, float(ideal_k)
+        if gap_k is not gap:
+            gap, gap_float = gap_k, float(gap_k)
+        rows.append((k, pi_float, ideal_float, gap_float))
+    return ["k", "pi_k", "ideal", "gap"], rows, 0
 
 
 def cmd_threshold(args):

@@ -332,6 +332,21 @@ class TestOutputHandling:
         assert exc.value.code == 2
         assert captured.out == "" and "--digits" in captured.err
 
+    @pytest.mark.parametrize("digits", ["2147483647", "2147483648"])
+    def test_digits_past_any_double_print_as_767(self, capsys, digits):
+        # no double prints differently past 767 digits, so a larger precision
+        # is clamped rather than sized into a format buffer for every cell
+        _, clamped, _ = run(capsys, ["curve", "9/20", "40", "--digits", "767"])
+        assert run(capsys, ["curve", "9/20", "40", "--digits", digits]) == (0, clamped, "")
+
+    def test_767_digits_print_every_double_exactly(self, capsys):
+        # the largest subnormal is the double with the most significant digits
+        largest_subnormal = math.nextafter(2.2250738585072014e-308, 0)
+        exact = "%.1000g" % largest_subnormal
+        assert "%.766g" % largest_subnormal != exact
+        cli.emit("csv", None, ["x"], [[largest_subnormal]], 10**6)
+        assert capsys.readouterr().out == f"x\n{exact}\n"
+
     def test_json_is_strict_when_z_is_infinite(self, capsys):
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -411,6 +426,53 @@ class TestEmitBytes:
     def test_empty_table(self, tmp_path):
         assert self.written(tmp_path, "csv", []) == b"name,value,flag\n"
         assert self.written(tmp_path, "json", []) == b"[]\n"
+
+    # cells whose exact type is not str, int or float keep the isinstance
+    # semantics: a str subclass is quoted like a str, an int or float
+    # subclass prints as its int or float value (a float subclass's own
+    # repr is not used), and a Fraction shared by two rows prints in both
+    class Label(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Real(float):
+        def __repr__(self):
+            return f"Real({float(self)!r})"
+
+    SHARED = Fraction(2, 7)
+    SUBCLASS_ROWS = [
+        [Label("x,y"), Count(-12), True],
+        [Label("plain"), Real(2 / 3), False],
+        ["shared", SHARED, True],
+        ["shared again", SHARED, False],
+    ]
+    SUBCLASS_CSV = (
+        "name,value,flag\n"
+        '"x,y",-12,true\n'
+        "plain,0.6667,false\n"
+        "shared,0.2857,true\n"
+        "shared again,0.2857,false\n"
+    )
+    SUBCLASS_JSON = (
+        "[\n"
+        + ",\n".join(
+            f'  {{\n    "name": {name},\n    "value": {value},\n    "flag": {flag}\n  }}'
+            for name, value, flag in [
+                ('"x,y"', "-12", "true"),
+                ('"plain"', "0.6666666666666666", "false"),
+                ('"shared"', "0.2857142857142857", "true"),
+                ('"shared again"', "0.2857142857142857", "false"),
+            ]
+        )
+        + "\n]\n"
+    )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_subclasses_and_shared_values(self, tmp_path, fmt):
+        expected = self.SUBCLASS_CSV if fmt == "csv" else self.SUBCLASS_JSON
+        assert self.written(tmp_path, fmt, self.SUBCLASS_ROWS) == expected.encode("utf-8")
 
 
 class TestParserReuse:

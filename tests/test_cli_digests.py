@@ -37,6 +37,8 @@ DECK = [
     ["coeffs", "5"],
     ["coeffs", "12", "--format", "json"],
     ["coeffs", "6", "--digits", "17"],
+    ["coeffs", "45", "--format", "json"],
+    ["coeffs", "42", "--digits", "15"],
     # accuracy: k = 0 and 1 (three and five routes), exact and float theta
     ["accuracy", "0", "9/20"],
     ["accuracy", "0", "0.45"],
@@ -64,6 +66,11 @@ DECK = [
     ["curve", "0.001", "400", "--digits", "17"],
     ["curve", "0.00390625", "12", "--digits", "17"],
     ["curve", "0.45", "0"],
+    # exact curves the size of the benchmark's; an odd k_max ends on a
+    # one-row plateau
+    ["curve", "84/157", "697"],
+    ["curve", "67/195", "319", "--format", "json"],
+    ["curve", "595/941", "664", "--digits", "15"],
     # threshold
     ["threshold", "9/20", "0.53"],
     ["threshold", "9/20", "53/100"],
