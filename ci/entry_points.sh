@@ -8,7 +8,7 @@ set -eo pipefail
 
 # the acceptance anchor: row-sum identity, 462 not 426
 freqpred coeffs 5 | grep -qx '5,1,462,row-sum identity sum(alpha)=-1 forces 462; the commonly tabulated 426 is a digit transposition'
-python -m freqpred threshold 9/20 0.53
+python -m freqpred threshold 9/20 0.53 | grep -qx '9/20,0.53,71'
 # k = 676385 from the fixed-point enclosure in well under a second; the
 # exact plateau stream alone would take more than 11 minutes
 freqpred threshold 0.499 0.5009 | grep -qx '0.499,0.5009,676385'

@@ -210,12 +210,12 @@ def _t_next_row(row: list, k: int, weights: tuple) -> list:
     doubled squares fold the even-odds tie prediction into the transition.
     """
     up, down, tie_up, tie_down = weights
-    ups = [up * v for v in row]
-    downs = [down * v for v in row]
+    following = [down * row[0], *[up * u + down * v for u, v in zip(row, row[1:])], up * row[-1]]
     if k % 2 == 0:
-        ups[k // 2] = tie_up * row[k // 2]
-        downs[k // 2] = tie_down * row[k // 2]
-    return [downs[0], *(u + v for u, v in zip(ups, downs[1:])), ups[-1]]
+        tie = row[k // 2]
+        following[k // 2] += (tie_down - down) * tie
+        following[k // 2 + 1] += (tie_up - up) * tie
+    return following
 
 
 def _t_bits(k_max: int) -> int:

@@ -169,10 +169,6 @@ class SimulationReport(NamedTuple):
     steps: tuple[StepAccuracy, ...]
 
 
-def _is_beta(source: ThetaSource) -> bool:
-    return isinstance(source, Prior) and source.kind == "beta"
-
-
 def _urn_cutoffs(prior: Prior, steps: int) -> list[np.ndarray]:
     """The Polya urn's outcome cutoffs under a beta prior: for k < steps,
     c_k[n] = ceil((alpha+n) 2^53 / (alpha+beta+k)) for n = 0..k, so that a
@@ -321,7 +317,7 @@ def simulate_accuracy(config: SimulationConfig, array: PredictionArray) -> Simul
     # counts never exceed the horizon, and neither does any run bound
     dtypes = [np.uint64, np.uint64, np.min_scalar_type(horizon), bool, bool, bool, bool]
     urn_cut = None
-    if _is_beta(source):
+    if isinstance(source, Prior) and source.kind == "beta":
         urn_cut = _urn_cutoffs(source, horizon)
         dtypes.append(np.intp)  # the counts' mirror that gathers the urn cutoffs
     chunks = _chunks(total, *dtypes)
@@ -387,35 +383,25 @@ def simulate_covariance(prior: ThetaSource, replications: int, seed: int) -> Cov
     theta each time: the estimate of ``prior_covariance(prior)``.
 
     An exchangeable sequence has one covariance for every pair of trials,
-    so each replication reads the first two, outcome slots 1 and 2 of the
-    layout in the module docstring: independent given theta, a fixed value
-    or a discrete prior's draw, and under a beta prior the Polya urn's
-    first two draws, the second at the predictive of x ones in 1 trial, x
-    the first's outcome.  The estimate converges to the variance of theta
-    under the prior (zero for a fixed theta); the reported standard error
-    is the plug-in error of the mean cross-deviation term.
+    so each replication reads the first two, x and y, outcome slots 1 and 2
+    of the layout in the module docstring.  Two ``simulate_accuracy`` runs
+    at horizon 2 on the same seed draw them alike and give the three sums:
+    the array ((1,), (1, 1)) predicts a one at both steps, so its hits are
+    sum x and sum y, and ((1,), (0, 1)) repeats the first outcome, so its
+    second step's hits count the replications where x == y, and
+    sum xy = (agree - r + sum x + sum y) / 2.  The estimate converges to the
+    variance of theta under the prior (zero for a fixed theta); the
+    reported standard error is the plug-in error of the mean
+    cross-deviation term.
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
-    SimulationConfig(prior, 2, replications, seed)  # checks the source and seed
-    urn_cut = _urn_cutoffs(prior, 2) if _is_beta(prior) else None
-    sum_x = sum_y = sum_xy = 0
-    chunks = _chunks(replications, np.uint64, np.uint64, bool, bool)
-    for reps, (bits, scratch, x, y) in chunks:
-        keys = _keys(seed, reps, scratch)
-        if urn_cut is None:
-            theta_cut = _theta_cutoffs(prior, keys, bits, scratch)
-        else:
-            theta_cut = urn_cut[0][0]
-        np.less(_draws(keys, 1, bits, scratch), theta_cut, out=x)
-        drawn = _draws(keys, 2, bits, scratch)
-        if urn_cut is not None:
-            theta_cut = np.take(urn_cut[1], x.view(np.uint8), out=scratch, mode="clip")
-        np.less(drawn, theta_cut, out=y)
-        sum_x += int(np.count_nonzero(x))
-        sum_y += int(np.count_nonzero(y))
-        sum_xy += int(np.count_nonzero(np.logical_and(x, y, out=x)))
+    config = SimulationConfig(prior, 2, replications, seed)
+    ones = simulate_accuracy(config, PredictionArray(((1,), (1, 1))))
+    repeat = simulate_accuracy(config, PredictionArray(((1,), (0, 1))))
+    sum_x, sum_y = (step.hits for step in ones.steps)
     r = replications
+    sum_xy = (repeat.steps[1].hits - r + sum_x + sum_y) // 2
     mean_x = sum_x / r
     mean_y = sum_y / r
     estimate = (sum_xy - r * mean_x * mean_y) / (r - 1)

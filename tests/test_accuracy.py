@@ -305,7 +305,7 @@ class TestCurve:
             accuracy_curve(HALF, 0)
 
 
-def rounded_exact_curve(theta: float, k_max: int) -> list[tuple]:
+def rounded_exact_curve(theta: float | Fraction, k_max: int) -> list[tuple]:
     """``accuracy_curve(Fraction(theta), k_max)`` rounded once, entry by
     entry, without its gcds: a ``Fraction`` rounds as its unreduced
     numerator over its denominator does, so each entry is the exact
@@ -345,6 +345,19 @@ class TestFloatCurve:
             (point.k, float(point.accuracy), float(point.ideal), float(point.gap))
             for point in accuracy_curve(Fraction(theta), k_max)
         ]
+
+    @given(st.fractions(0, 1, max_denominator=1000), st.integers(1, 700))
+    @example(Fraction(433, 917), 700)
+    @example(Fraction(1, 3), 1)
+    @settings(max_examples=15, deadline=None)
+    def test_enclosure_holds_on_an_exact_theta(self, theta, k_max):
+        # d need not be a power of two: each P either leaves the curve
+        # undecided or reads every plateau as the exact value rounded once
+        p, q = theta.as_integer_ratio()
+        expected = [(pi, gap) for _, pi, _, gap in rounded_exact_curve(theta, k_max)[::2]]
+        for bits in accuracy._ENCLOSURE_BITS:
+            plateaus = accuracy._rounded_plateaus(p, q, bits, len(expected))
+            assert plateaus is None or plateaus == expected
 
     def test_gaps_too_small_for_p_take_the_exact_stream(self, monkeypatch):
         # theta = 0.001 closes ~8 bits of its gap a plateau, so at 128 bits

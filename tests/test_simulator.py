@@ -352,6 +352,17 @@ class TestGolden:
         assert result == (0.02248562224358307, 0.0005875804177591457, 70_000)
 
     @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("fixed_exact", (0.0007548691511919603, 0.0009361759146359275, 70_000)),
+            ("fixed_float", (0.00018072747978033966, 0.0009425194680033958, 70_000)),
+            ("discrete", (0.04549338133401906, 0.0009291158770963519, 70_000)),
+        ],
+    )
+    def test_covariance_sources(self, source, expected):
+        assert simulate_covariance(GOLDEN_SOURCES[source], 70_000, 880_001) == expected
+
+    @pytest.mark.parametrize(
         "theta_or_prior, expected",
         [("0.4731", GOLDEN_FIXED_STDOUT), ("beta:2,3", GOLDEN_PRIOR_STDOUT)],
     )
