@@ -34,6 +34,9 @@ freqpred simulate beta:2,3 71 1000 --seed 1
 freqpred simulate beta:1/1000000000,5 71 1000 --seed 1
 # a horizon past 255 keeps the running counts in uint16
 freqpred simulate 0.4731 300 400 --seed 1
+# the arrays the package builds are O(k) cuts: as 2*10^8 row entries,
+# frequent_outcome_array(20000) raised MemoryError in _phi_rows under 1 GB
+(ulimit -v 1000000; OPENBLAS_NUM_THREADS=1 freqpred simulate 0.5 20000 2 >/dev/null)
 freqpred posterior discrete:2/5=1/2,3/5=1/2 20 11
 freqpred posterior beta:1,1 4 3 --format json
 # 601 beta rows, each cut at 2n = k + beta - alpha; a per-cell build

@@ -331,7 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         header, rows, code = args.run(args)
         emit(args.format, args.out, header, rows, args.digits)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy's names the allocation, Python's is bare
+            exc = f"out of memory ({str(exc) or args.command})"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

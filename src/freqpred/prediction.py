@@ -11,6 +11,7 @@ or discrete priors on that probability.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -69,6 +70,38 @@ class CountStatistic(_CountStatistic):
         return cls(*iterable)  # so _replace checks too
 
 
+class _CutRows(Sequence):
+    """The rows of the arrays this package builds: each a run of 0, a run of
+    1/2 and a run of 1, held as two cuts, 0 below ``cuts[k][0]``, 1 from
+    ``cuts[k][1]`` on.  Equal to, and hashed as, the tuple of its rows."""
+
+    def __init__(self, cuts: tuple[tuple[int, int], ...]):
+        self.cuts = cuts
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self.cuts))[index]))
+        k = range(len(self.cuts))[index]
+        zeros, ones = self.cuts[k]
+        return (ZERO,) * zeros + (HALF,) * (ones - zeros) + (ONE,) * (k + 1 - ones)
+
+    def __eq__(self, other):
+        if isinstance(other, _CutRows):  # the cuts determine the rows
+            return self.cuts == other.cuts
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class _PredictionArray(NamedTuple):
     rows: tuple[tuple[Weight, ...], ...]
 
@@ -79,12 +112,13 @@ class PredictionArray(_PredictionArray):
     __slots__ = ()
 
     def __new__(cls, rows: tuple[tuple[Weight, ...], ...]) -> PredictionArray:
-        rows = tuple(tuple(row) for row in rows)
-        for k, row in enumerate(rows):
-            if len(row) != k + 1:
-                raise ValueError(f"row {k} must have {k + 1} entries, got {len(row)}")
-            for phi in row:
-                _check_probability(phi, f"entry in row {k}")
+        if not isinstance(rows, _CutRows):  # cut rows are valid by construction
+            rows = tuple(tuple(row) for row in rows)
+            for k, row in enumerate(rows):
+                if len(row) != k + 1:
+                    raise ValueError(f"row {k} must have {k + 1} entries, got {len(row)}")
+                for phi in row:
+                    _check_probability(phi, f"entry in row {k}")
         return tuple.__new__(cls, (rows,))
 
     @classmethod
@@ -108,16 +142,13 @@ def frequent_outcome_array(k_max: int) -> PredictionArray:
     """Predict the outcome observed most often; flip a fair coin on ties.
 
     Row 0 (nothing observed yet) is the single tie entry 1/2.  Row k holds
-    ceil(k/2) zeros, a tie entry when k is even, then ceil(k/2) ones; every
-    row shares the same three constants.
+    ceil(k/2) zeros, a tie entry when k is even, then ceil(k/2) ones: its
+    cuts are (ceil(k/2), floor(k/2) + 1), two ints per row.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    rows = tuple(
-        (ZERO,) * ((k + 1) // 2) + (HALF,) * (1 - k % 2) + (ONE,) * ((k + 1) // 2)
-        for k in range(k_max + 1)
-    )
-    return PredictionArray._trusted(rows)
+    cuts = tuple(((k + 1) // 2, k // 2 + 1) for k in range(k_max + 1))
+    return PredictionArray._trusted(_CutRows(cuts))
 
 
 def conditional_accuracy(phi: Weight, theta: Theta) -> Weight:
@@ -296,19 +327,6 @@ def posterior_correct_probability(
     return _number(*score.as_integer_ratio(), _has_float(prior))
 
 
-def _beta_row(k: int, num: int, den: int) -> tuple[Fraction, ...]:
-    """Row k under a beta prior with beta - alpha = num/den, den > 0.
-
-    The posterior mean (alpha + n)/(alpha + beta + k) is above 1/2 iff
-    2n > k + beta - alpha, that is iff 2 den n > k den + num: the cells
-    below that boundary are 0, a cell on it is 1/2, the cells above are 1.
-    """
-    cut, rest = divmod(k * den + num, 2 * den)  # the boundary n = cut + rest/(2 den)
-    zeros = min(max(cut + (rest > 0), 0), k + 1)
-    tie = int(rest == 0 and 0 <= cut <= k)
-    return (ZERO,) * zeros + (HALF,) * tie + (ONE,) * (k + 1 - zeros - tie)
-
-
 def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
     """Bayes-optimal array: back whichever outcome the posterior favours.
 
@@ -323,29 +341,33 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
     so no tolerance decides an entry: float atoms 0.1 and 0.9 are not
     symmetric (1 - 0.9 != 0.1), and their cells with 2n = k are 0 or 1.
 
-    A beta prior needs no posterior mean: by conjugacy the mean
-    (alpha + n)/(alpha + beta + k) exceeds 1/2 iff 2n > k + beta - alpha,
-    so each row is a run of zeros, at most one 1/2 and a run of ones, cut
-    by one integer division.  A discrete prior is decided cell by cell.
+    The posterior mean rises with n (the binomial family has a monotone
+    likelihood ratio), so each row is stored as its two cuts.  A beta prior
+    needs no posterior mean: the mean (alpha + n)/(alpha + beta + k) exceeds
+    1/2 iff 2n > k + beta - alpha.  A discrete prior is decided cell by cell.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     prior = _exact(prior)
+    cuts = []
     if prior.kind == "beta":
         num, den = (prior.beta - prior.alpha).as_integer_ratio()
-        rows = tuple(_beta_row(k, num, den) for k in range(k_max + 1))
-        return PredictionArray._trusted(rows)
-    rows = []
+        for k in range(k_max + 1):
+            # 2n > k + beta - alpha iff n > (k den + num)/(2 den) = cut + rest/(2 den)
+            cut, rest = divmod(k * den + num, 2 * den)
+            zeros = min(max(cut + (rest > 0), 0), k + 1)
+            cuts.append((zeros, zeros + (rest == 0 and 0 <= cut <= k)))
+        return PredictionArray._trusted(_CutRows(tuple(cuts)))
     for k in range(k_max + 1):
-        row = []
+        signs = []
         for n in range(k + 1):
             try:
                 mean = posterior_mean(prior, CountStatistic(k, n))
             except ImpossibleEvidenceError:
                 mean = HALF
-            row.append(HALF if mean == HALF else ONE if mean > HALF else ZERO)
-        rows.append(tuple(row))
-    return PredictionArray._trusted(tuple(rows))
+            signs.append(0 if mean == HALF else 1 if mean > HALF else -1)
+        cuts.append((signs.count(-1), k + 1 - signs.count(1)))
+    return PredictionArray._trusted(_CutRows(tuple(cuts)))
 
 
 def prior_covariance(prior: Prior) -> Weight:

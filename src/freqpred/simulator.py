@@ -48,23 +48,22 @@ through the narrow counts costs ~4x as much per element.
 The step loop reads each prediction row as runs of counts, not as a
 table: the replications whose running count lies in a run of 1.0
 entries predict one, and those in a run of entries strictly between 0
-and 1 read their prediction slot.  Comparing the counts with a run's
-bounds replaces a gather through the counts.  The counts are kept in the
-narrowest unsigned dtype that holds the horizon (uint8 up to 255, then
-uint16), which every run bound fits too.
+and 1 read their prediction slot, each run by one comparison of the
+counts with its bounds (a row of ``_CutRows`` is at most one of each).
+The counts are kept in the narrowest unsigned dtype that holds the
+horizon (uint8 up to 255, then uint16), which every run bound fits too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice
-from operator import is_not
+from itertools import groupby
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .prediction import PredictionArray, Prior, _exact
+from .prediction import PredictionArray, Prior, _CutRows, _exact
 
 ThetaSource = Union[int, float, Fraction, Prior]
 
@@ -210,59 +209,38 @@ def _theta_cutoffs(
 
 def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[list, list]]:
     """Rows 0..horizon-1 of ``array`` as the simulator reads them: row k as
-    ``(ones, fractional)``, the runs of counts n whose entry phi, as a
-    float, is 1.0, and the runs where 0 < phi < 1, each with its cutoffs.
-
-    A run is a half-open ``[lo, hi)`` range of counts, ``(lo, hi)`` in
-    ``ones`` and ``(lo, hi, cutoffs)`` in ``fractional``; ``cutoffs`` is
-    the one cutoff of a one-cell run, else the row's cutoffs indexed by n.
-    The loop compares the running counts with the bounds, so a row costs
-    one comparison per run: every array this package builds has at most
-    one run of ones, open at the top (frequent-outcome and Bayes-optimal
-    rows rise with n), and at most one tie cell.  The bounds are Python
-    ints no larger than the horizon, so the comparisons run in the counts'
-    own narrow dtype.
+    ``(ones, fractional)``, the half-open runs ``(lo, hi)`` of counts n
+    whose entry phi, as a float, is 1.0 (at least one run, maybe empty),
+    and the runs ``(lo, hi, cutoffs)`` where 0 < phi < 1, with one cutoff
+    for a one-cell run or a run of 1/2, else the row's, indexed by n.  A
+    row of ``_CutRows`` is read in O(1), a row a user gives entry by entry.
+    The bounds are Python ints no larger than the horizon, so comparing the
+    running counts with them runs in the counts' own narrow dtype.
     """
     if array.k_max < horizon - 1:
         raise ValueError(
             f"prediction array covers rows 0..{array.k_max}, "
             f"but horizon {horizon} needs rows 0..{horizon - 1}"
         )
-    entries = list(chain.from_iterable(array.rows[:horizon]))
-    bounds = [k * (k + 1) // 2 for k in range(horizon + 1)]  # row k is bounds[k]:bounds[k + 1]
-    # float() each distinct object once, read at the first entry of each
-    # stretch of one object: frequent_outcome_array's rows share three
-    # constants, and Fraction.__float__ dominates otherwise
-    edge = np.ones(len(entries) + 1, dtype=bool)
-    edge[1:-1] = np.fromiter(map(is_not, islice(entries, 1, None), entries), bool, len(entries) - 1)
-    edge[bounds] = True
-    stretches = np.flatnonzero(edge)
-    firsts = [entries[i] for i in stretches[:-1].tolist()]
-    distinct = dict(zip(map(id, firsts), firsts))
-    floats = {key: float(entry) for key, entry in distinct.items()}
-    phi = np.repeat([floats[key] for key in map(id, firsts)], np.diff(stretches))
-    # 0: phi == 0.0, 1: in between, 2: phi == 1.0
-    kind = (phi > 0.0).view(np.int8) + (phi == 1.0).view(np.int8)
-    np.not_equal(kind[1:], kind[:-1], out=edge[1:-1])
-    edge[bounds] = True
-    starts = np.flatnonzero(edge)  # each run's first entry, then the end of the last
-    runs = np.flatnonzero(kind[starts[:-1]])  # the runs of nonzero entries
-    cut = _cutoffs(phi)
-    rows = [([], []) for _ in range(horizon)]
-    # tolist(): a numpy int64 bound would widen the counts to int64
-    for start, end, row, run_kind in zip(
-        starts[runs].tolist(),
-        starts[runs + 1].tolist(),
-        (np.searchsorted(bounds, starts[runs], side="right") - 1).tolist(),
-        kind[starts[runs]].tolist(),
-    ):
-        first = bounds[row]
-        ones, fractional = rows[row]
-        if run_kind == 2:
-            ones.append((start - first, end - first))
-        else:
-            cuts = cut[start] if end == start + 1 else cut[first : bounds[row + 1]]
-            fractional.append((start - first, end - first, cuts))
+    if isinstance(array.rows, _CutRows):
+        half = _cutoffs(0.5)
+        return [
+            ([(ones, k + 1)], [(zeros, ones, half)] if zeros < ones else [])
+            for k, (zeros, ones) in enumerate(array.rows.cuts[:horizon])
+        ]
+    rows = []
+    for row in array.rows[:horizon]:
+        phi = [float(entry) for entry in row]
+        ones, fractional, lo = [], [], 0
+        # 0: phi == 0.0, 1: in between, 2: phi == 1.0
+        for kind, run in groupby(phi, lambda p: (p > 0.0) + (p == 1.0)):
+            hi = lo + len(list(run))
+            if kind == 2:
+                ones.append((lo, hi))
+            elif kind == 1:
+                fractional.append((lo, hi, _cutoffs(phi[lo] if hi == lo + 1 else np.array(phi))))
+            lo = hi
+        rows.append((ones or [(0, 0)], fractional))
     return rows
 
 
@@ -337,14 +315,11 @@ def simulate_accuracy(config: SimulationConfig, array: PredictionArray) -> Simul
             np.less(drawn, theta_cut, out=outcome)
             # m < 2**53, so phi == 1.0 predicts one and phi == 0.0 zero; only
             # the cells in between read their prediction slot
-            if ones:
-                (lo, hi), *more = ones
-                _in_run(counts, lo, hi, k, predicted, spare)
-                for lo, hi in more:
-                    _in_run(counts, lo, hi, k, inside, spare)
-                    np.logical_or(predicted, inside, out=predicted)
-            else:
-                predicted.fill(False)
+            (lo, hi), *more = ones
+            _in_run(counts, lo, hi, k, predicted, spare)
+            for lo, hi in more:
+                _in_run(counts, lo, hi, k, inside, spare)
+                np.logical_or(predicted, inside, out=predicted)
             for lo, hi, cut in fractional:
                 if lo == 0 and hi > k:
                     # the run covers every replication: keys and counts are

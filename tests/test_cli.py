@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -528,3 +529,53 @@ assert "scipy" not in set(sys.modules) - before, "scipy loaded for a beta prior"
         [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, argv, error, detail",
+    [
+        ("simulate_accuracy", ["simulate", "0.5", "5", "10"], MemoryError(), "simulate"),
+        (
+            "optimal_array",
+            ["posterior", "beta:1,1", "4", "3"],
+            MemoryError("Unable to allocate 8.00 GiB for an array"),
+            "Unable to allocate 8.00 GiB for an array",
+        ),
+    ],
+)
+def test_out_of_memory_is_one_line(capsys, monkeypatch, name, argv, error, detail):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, name, exhausted)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: out of memory ({detail})\n"
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["simulate", "0.5", "20000", "2"], "19999,"),
+        (["posterior", "beta:1,1", "40000", "5"], '"beta:1,1",40000,5,0.0001499925004,0,'),
+    ],
+)
+def test_large_k_fits_in_one_gigabyte(argv, last):
+    # the arrays these build are O(k) cuts; as O(k^2) rows each raised
+    # MemoryError under this cap.  The child caps itself before it imports
+    # numpy, whose OpenBLAS reserves address space for each thread.
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9)); "
+        "from freqpred.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=src,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith(last)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
@@ -596,6 +597,85 @@ class TestBetaOptimalArray:
         monkeypatch.setattr(prediction, "posterior_mean", counted)
         optimal_array(beta_prior(Fraction(7, 2), Fraction(1, 2)), 150)
         assert calls == []
+
+
+def exact_discrete(raw_atoms) -> Prior:
+    """A discrete prior from raw atoms with integer weights, over their sum."""
+    total = sum(w for _, w in raw_atoms)
+    return discrete_prior([(v, Fraction(w, total)) for v, w in raw_atoms])
+
+
+beta_parameters = st.fractions(Fraction(1, 8), 12, max_denominator=8)
+# beta priors, and discrete priors whose atoms include 0, 1/2 and 1 and weight-0 atoms
+cut_priors = st.one_of(
+    st.builds(beta_prior, beta_parameters, beta_parameters),
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from([Fraction(0), HALF, Fraction(1)]),
+                st.fractions(0, 1, max_denominator=60),
+            ),
+            st.integers(0, 5),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+    .filter(lambda atoms: any(w for _, w in atoms))
+    .map(exact_discrete),
+)
+
+
+def assert_reads_as(array: PredictionArray, twin: PredictionArray) -> None:
+    """``array`` reads, compares, hashes, slices and pickles as ``twin``,
+    an array built from rows of entries."""
+    for k, row in enumerate(twin.rows):
+        assert array.rows[k] == row
+        for n, phi in enumerate(row):
+            assert array.phi(k, n) == phi
+    assert array.k_max == twin.k_max
+    assert array.rows == twin.rows and twin.rows == array.rows
+    assert tuple(array.rows) == twin.rows and len(array.rows) == len(twin.rows)
+    assert array.rows[::2] == twin.rows[::2] and array.rows[-1] == twin.rows[-1]
+    with pytest.raises(IndexError):
+        array.rows[len(twin.rows)]
+    assert array == twin and twin == array and not array != twin
+    assert hash(array) == hash(twin) and hash(array.rows) == hash(twin.rows)
+    assert array != frequent_outcome_array(twin.k_max + 1)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(array, protocol))
+        assert copy == array and type(copy.rows) is type(array.rows)
+
+
+class TestCutRows:
+    """The arrays the package builds hold each row as two cuts and read as
+    the rows a user would give entry by entry."""
+
+    @given(cut_priors, st.integers(0, 30))
+    @example(beta_prior(12, 1), 12)  # 2n = k - 11 has a root n < 0 on odd rows
+    @example(exact_discrete([(0, 1), (1, 2)]), 5)  # 0 < n < k has zero likelihood
+    @settings(max_examples=150, deadline=None)
+    def test_optimal_array_matches_cell_by_cell_reference(self, prior, k_max):
+        assert_reads_as(optimal_array(prior, k_max), optimal_array_reference(prior, k_max))
+
+    @given(st.integers(0, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_frequent_outcome_array_reads_as_its_rows(self, k_max):
+        rows = tuple(
+            tuple(HALF if 2 * n == k else Fraction(int(2 * n > k)) for n in range(k + 1))
+            for k in range(k_max + 1)
+        )
+        assert_reads_as(frequent_outcome_array(k_max), PredictionArray(rows))
+
+    def test_cut_arrays_compare_by_value(self):
+        symmetric = optimal_array(beta_prior(5, 5), 40)
+        assert symmetric == frequent_outcome_array(40)
+        assert hash(symmetric) == hash(frequent_outcome_array(40))
+        assert optimal_array(beta_prior(5, 4), 40) != symmetric
+        # beta(41, 1) and beta(42, 1) back 1 on every row up to 39; on row 40
+        # the first ties at n = 0
+        ties, ones = optimal_array(beta_prior(41, 1), 40), optimal_array(beta_prior(42, 1), 40)
+        assert ties != ones and ties.rows[:40] == ones.rows[:40]
+        assert ties.rows[40] == (HALF,) + (1,) * 40 and ones.rows[40] == (1,) * 41
 
 
 class TestPriorCovariance:

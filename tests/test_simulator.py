@@ -538,6 +538,11 @@ ORACLE_SOURCES = {
 }
 
 
+ASYMMETRIC = discrete_prior([(Fraction(1, 5), Fraction(1, 3)), (Fraction(3, 5), Fraction(2, 3))])
+# atoms at 0 and 1 only: row k >= 2 is 0, a run of k - 1 cells of 1/2, then 1
+ENDS = discrete_prior([(0, Fraction(1, 3)), (1, Fraction(2, 3))])
+
+
 class TestGatherOracle:
     """The run-comparison loop gives the hits of the earlier per-count
     lookup loop on every array, source and chunk size."""
@@ -547,8 +552,17 @@ class TestGatherOracle:
     @pytest.mark.parametrize(
         "array",
         [random_array(12, seed) for seed in range(4)]
-        + [frequent_outcome_array(12), laplace_array(12), mixed_array(12), all_ones_array(12)],
-        ids=["random0", "random1", "random2", "random3", "frequent", "laplace", "mixed", "ones"],
+        + [frequent_outcome_array(12), laplace_array(12), mixed_array(12), all_ones_array(12)]
+        + [
+            optimal_array(beta_prior(HALF, Fraction(7, 2)), 12),
+            optimal_array(ASYMMETRIC, 12),
+            optimal_array(ENDS, 12),
+            PredictionArray(tuple(optimal_array(ENDS, 12).rows)),
+        ],
+        ids=[
+            "random0", "random1", "random2", "random3", "frequent", "laplace", "mixed", "ones",
+            "beta-1/2-7/2", "asymmetric", "ends", "ends-rows",
+        ],
     )
     def test_same_hits(self, array, source, chunk_size, monkeypatch):
         # three chunks of 12,347; one-replication chunks cost ~1 ms each
