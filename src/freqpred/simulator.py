@@ -78,10 +78,11 @@ __all__ = [
 
 DEFAULT_CHUNK = 1 << 15
 
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_REP_STRIDE = np.uint64(0x9E3779B97F4A7C15)
-_S30, _S27, _S31, _U53 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+# 0-d arrays: a ufunc call given a numpy scalar operand costs ~0.3 us more
+_M1 = np.array(0xBF58476D1CE4E5B9, np.uint64)
+_M2 = np.array(0x94D049BB133111EB, np.uint64)
+_REP_STRIDE = np.array(0x9E3779B97F4A7C15, np.uint64)
+_S30, _S27, _S31, _U53 = (np.array(shift, np.uint64) for shift in (30, 27, 31, 11))
 
 
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -106,18 +107,18 @@ def _draws(keys: np.ndarray, slot: int, out: np.ndarray, scratch: np.ndarray) ->
     """Slot ``slot`` of the substreams with these keys, written to ``out`` as
     53-bit integers m: the U(0,1) draw is u = m * 2**-53."""
     # slot offset wrapped in Python ints: numpy warns on scalar overflow
-    offset = np.uint64((slot * 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF)
+    offset = np.array((slot * 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF, np.uint64)
     _mix(np.add(keys, offset, out=out), scratch)
     return np.right_shift(out, _U53, out=out)
 
 
-def _cutoffs(p: np.ndarray | float) -> np.ndarray | np.uint64:
+def _cutoffs(p: np.ndarray | float) -> np.ndarray:
     """Integers c with u = m * 2**-53 < p exactly when m < c.
 
     p * 2**53 is exact for p in [0, 1], so c = ceil(p * 2**53) <= 2**53;
     comparing integers skips the slow uint64-to-float conversion of m.
     """
-    return np.ceil(p * 2.0**53).astype(np.uint64)
+    return np.asarray(np.ceil(p * 2.0**53), np.uint64)
 
 
 def _check_theta_source(source: ThetaSource) -> None:
@@ -193,7 +194,7 @@ def _urn_cutoffs(prior: Prior, steps: int) -> list[np.ndarray]:
 
 def _theta_cutoffs(
     source: ThetaSource, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray | np.uint64:
+) -> np.ndarray:
     """The ``_cutoffs`` of each replication's theta: one for a fixed source,
     else those of the discrete prior's inverse-CDF image of slot 0 (``out``
     and ``scratch`` are overwritten)."""
@@ -329,7 +330,7 @@ def simulate_accuracy(config: SimulationConfig, array: PredictionArray) -> Simul
                         cut = np.take(cut, counts, out=scratch, mode="clip")
                     np.less(drawn, cut, out=predicted)
                     continue
-                cells = np.flatnonzero(_in_run(counts, lo, hi, k, inside, spare))
+                cells = _in_run(counts, lo, hi, k, inside, spare).nonzero()[0]
                 if cells.size:
                     n = cells.size
                     drawn = _draws(keys[cells], horizon + 2 + k, bits[:n], scratch[:n])
