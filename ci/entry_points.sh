@@ -28,12 +28,14 @@ freqpred accuracy 3001 9/20 --path expanded
 freqpred curve 9/20 700 | tail -n 1 | grep -qx '700,0.5495992716,0.55,0.0004007284421'
 freqpred curve 9/20 700 --format json \
   | python -c 'import json, sys; sys.exit(len(json.load(sys.stdin)) != 700)'
-freqpred simulate beta:2,3 71 1000 --seed 1
+# the simulator's last rows, pinned with the runtime dependencies alone
+freqpred simulate beta:2,3 71 1000 --seed 1 | tail -n 1 | grep -qx '70,686,1000,0.686,0.01467664812'
 # a beta prior is simulated as a Polya urn, so no shape is out of reach,
 # not even one with nearly all its mass at 0
 freqpred simulate beta:1/1000000000,5 71 1000 --seed 1
 # a horizon past 255 keeps the running counts in uint16
-freqpred simulate 0.4731 300 400 --seed 1
+freqpred simulate 0.4731 300 400 --seed 1 | tail -n 1 \
+  | grep -qx '299,209,400,0.5225,0.02497467467,0.5174454617,0.202386551'
 # the arrays the package builds are O(k) cuts: as 2*10^8 row entries,
 # frequent_outcome_array(20000) raised MemoryError in _phi_rows under 1 GB
 (ulimit -v 1000000; OPENBLAS_NUM_THREADS=1 freqpred simulate 0.5 20000 2 >/dev/null)

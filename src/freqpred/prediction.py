@@ -125,11 +125,6 @@ class PredictionArray(_PredictionArray):
     def _make(cls, iterable) -> PredictionArray:
         return cls(*iterable)  # so _replace checks too
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[Weight, ...], ...]) -> PredictionArray:
-        """Wrap rows that are valid by construction, skipping the entry checks."""
-        return tuple.__new__(cls, (rows,))
-
     @property
     def k_max(self) -> int:
         return len(self.rows) - 1
@@ -148,7 +143,7 @@ def frequent_outcome_array(k_max: int) -> PredictionArray:
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     cuts = tuple(((k + 1) // 2, k // 2 + 1) for k in range(k_max + 1))
-    return PredictionArray._trusted(_CutRows(cuts))
+    return PredictionArray(_CutRows(cuts))
 
 
 def conditional_accuracy(phi: Weight, theta: Theta) -> Weight:
@@ -357,7 +352,7 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
             cut, rest = divmod(k * den + num, 2 * den)
             zeros = min(max(cut + (rest > 0), 0), k + 1)
             cuts.append((zeros, zeros + (rest == 0 and 0 <= cut <= k)))
-        return PredictionArray._trusted(_CutRows(tuple(cuts)))
+        return PredictionArray(_CutRows(tuple(cuts)))
     for k in range(k_max + 1):
         signs = []
         for n in range(k + 1):
@@ -367,7 +362,7 @@ def optimal_array(prior: Prior, k_max: int) -> PredictionArray:
                 mean = HALF
             signs.append(0 if mean == HALF else 1 if mean > HALF else -1)
         cuts.append((signs.count(-1), k + 1 - signs.count(1)))
-    return PredictionArray._trusted(_CutRows(tuple(cuts)))
+    return PredictionArray(_CutRows(tuple(cuts)))
 
 
 def prior_covariance(prior: Prior) -> Weight:

@@ -20,12 +20,10 @@ substream uses fixed slot positions:
                              c_k[n] = ceil((alpha+n) 2^53 / (alpha+beta+k))
                              at the running count n, exact on the prior's
                              dyadic value
-* slot horizon + 2 + k    -- prediction draw at step k, read only where
-                             the array entry phi, as a float, lies strictly
-                             between 0 and 1: every draw is below 1, so
-                             phi == 1.0 predicts one and phi == 0.0 zero
-                             without one (for the frequent-outcome array,
-                             only the tie cell of each even step draws)
+* slot horizon + 2 + k    -- prediction draw at step k, which decides a
+                             prediction only where 0 < phi < 1: every
+                             draw is below 1, so its cutoff predicts one
+                             at phi == 1.0 and zero at phi == 0.0
 
 A beta prior is simulated as a Polya urn (Blackwell & MacQueen, Ann.
 Statist. 1, 1973): given n ones in k trials, the next trial is one with
@@ -42,23 +40,18 @@ steps, 2^18-replication chunks ran ~1.7x slower on a 2-vCPU Xeon VM.
 
 Each chunk's prologue writes into its own vectors: the keys are mixed in
 place in the replication indices.  A beta prior's step reads its cutoffs
-c_k[n] by gathering through an intp copy of the running counts: a gather
-through the narrow counts costs ~4x as much per element.
-
-The step loop reads each prediction row as runs of counts, not as a
-table: the replications whose running count lies in a run of 1.0
-entries predict one, and those in a run of entries strictly between 0
-and 1 read their prediction slot, each run by one comparison of the
-counts with its bounds (a row of ``_CutRows`` is at most one of each).
-The counts are kept in the narrowest unsigned dtype that holds the
-horizon (uint8 up to 255, then uint16), which every run bound fits too.
+c_k[n] by gathering through an intp copy of the running counts (a gather
+through the narrow counts costs ~4x as much per element), and so does a
+prediction row kept as a table of cutoffs; a row kept as cuts is read by
+comparing the counts with them.  The counts are kept in the narrowest
+unsigned dtype that holds the horizon (uint8 up to 255, then uint16).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
@@ -126,6 +119,15 @@ def _check_theta_source(source: ThetaSource) -> None:
         raise ValueError(f"theta must lie in [0, 1], got {source}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, numpy integers included; a float is refused, not
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class _SimulationConfig(NamedTuple):
     theta_source: ThetaSource
     horizon: int
@@ -141,6 +143,9 @@ class SimulationConfig(_SimulationConfig):
     def __new__(
         cls, theta_source: ThetaSource, horizon: int, replications: int, seed: int
     ) -> SimulationConfig:
+        horizon = _integer("horizon", horizon)
+        replications = _integer("replications", replications)
+        seed = _integer("seed", seed)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if replications < 1:
@@ -208,15 +213,13 @@ def _theta_cutoffs(
     return _cutoffs(np.array([float(v) for v, _ in source.atoms]))[bins]
 
 
-def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[list, list]]:
+def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[int, int] | np.ndarray]:
     """Rows 0..horizon-1 of ``array`` as the simulator reads them: row k as
-    ``(ones, fractional)``, the half-open runs ``(lo, hi)`` of counts n
-    whose entry phi, as a float, is 1.0 (at least one run, maybe empty),
-    and the runs ``(lo, hi, cutoffs)`` where 0 < phi < 1, with one cutoff
-    for a one-cell run or a run of 1/2, else the row's, indexed by n.  A
-    row of ``_CutRows`` is read in O(1), a row a user gives entry by entry.
-    The bounds are Python ints no larger than the horizon, so comparing the
-    running counts with them runs in the counts' own narrow dtype.
+    its cuts ``(zeros, ones)``, entries 0 below ``zeros``, 1/2 up to
+    ``ones`` and 1 from there on, or else as the ``_cutoffs`` of its
+    entries, a uint64 table indexed by the count n.  A row of ``_CutRows``
+    is read in O(1); a row a user gives is cuts when its entries, as
+    floats, rise through 0.0, 0.5 and 1.0 alone.
     """
     if array.k_max < horizon - 1:
         raise ValueError(
@@ -224,43 +227,15 @@ def _phi_rows(array: PredictionArray, horizon: int) -> list[tuple[list, list]]:
             f"but horizon {horizon} needs rows 0..{horizon - 1}"
         )
     if isinstance(array.rows, _CutRows):
-        half = _cutoffs(0.5)
-        return [
-            ([(ones, k + 1)], [(zeros, ones, half)] if zeros < ones else [])
-            for k, (zeros, ones) in enumerate(array.rows.cuts[:horizon])
-        ]
+        return list(array.rows.cuts[:horizon])
     rows = []
     for row in array.rows[:horizon]:
         phi = [float(entry) for entry in row]
-        ones, fractional, lo = [], [], 0
-        # 0: phi == 0.0, 1: in between, 2: phi == 1.0
-        for kind, run in groupby(phi, lambda p: (p > 0.0) + (p == 1.0)):
-            hi = lo + len(list(run))
-            if kind == 2:
-                ones.append((lo, hi))
-            elif kind == 1:
-                fractional.append((lo, hi, _cutoffs(phi[lo] if hi == lo + 1 else np.array(phi))))
-            lo = hi
-        rows.append((ones or [(0, 0)], fractional))
-    return rows
-
-
-def _in_run(counts: np.ndarray, lo: int, hi: int, top: int, out: np.ndarray, spare: np.ndarray):
-    """``lo <= counts < hi`` into ``out``, for counts that never exceed
-    ``top``: one comparison unless the run is closed at both ends."""
-    if lo == 0:
-        if hi > top:
-            out.fill(True)
+        if phi == sorted(phi) and {0.0, 0.5, 1.0}.issuperset(phi):
+            rows.append((phi.count(0.0), len(phi) - phi.count(1.0)))
         else:
-            np.less(counts, hi, out=out)
-    elif hi > top:
-        np.greater_equal(counts, lo, out=out)
-    elif hi == lo + 1:
-        np.equal(counts, lo, out=out)
-    else:
-        np.greater_equal(counts, lo, out=out)
-        np.logical_and(out, np.less(counts, hi, out=spare), out=out)
-    return out
+            rows.append(_cutoffs(np.array(phi)))
+    return rows
 
 
 def _chunks(total: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
@@ -270,9 +245,9 @@ def _chunks(total: int, *dtypes) -> Iterator[tuple[np.ndarray, list[np.ndarray]]
     serves chunk-sized temporaries from freshly mapped pages, which fault
     on first touch.  A chunk still allocates its indices (mixed in place
     into the keys), a discrete prior's theta cutoffs, and the gathers of
-    the replications that read a prediction slot in a run that does not
-    cover them all.  The last chunk, which may be shorter, gets views of
-    the buffers' first entries."""
+    the replications whose count falls in a cut row's run of 1/2.  The
+    last chunk, which may be shorter, gets views of the buffers' first
+    entries."""
     buffers = [np.empty(min(DEFAULT_CHUNK, total), dtype) for dtype in dtypes]
     for start in range(0, total, DEFAULT_CHUNK):
         reps = np.arange(start, min(start + DEFAULT_CHUNK, total), dtype=np.uint64)
@@ -293,48 +268,47 @@ def simulate_accuracy(config: SimulationConfig, array: PredictionArray) -> Simul
     hits = [0] * horizon
     total = config.replications
     source = config.theta_source
-    # counts never exceed the horizon, and neither does any run bound
-    dtypes = [np.uint64, np.uint64, np.min_scalar_type(horizon), bool, bool, bool, bool]
+    half = _cutoffs(0.5)
+    # counts never exceed the horizon, and neither does any cut
+    dtypes = [np.uint64, np.uint64, np.min_scalar_type(horizon), bool, bool, bool]
     urn_cut = None
     if isinstance(source, Prior) and source.kind == "beta":
         urn_cut = _urn_cutoffs(source, horizon)
-        dtypes.append(np.intp)  # the counts' mirror that gathers the urn cutoffs
+    if urn_cut is not None or not all(isinstance(row, tuple) for row in rows):
+        dtypes.append(np.intp)  # the counts' mirror that gathers cutoff tables
     chunks = _chunks(total, *dtypes)
-    for reps, (bits, scratch, counts, outcome, predicted, inside, spare, *mirror) in chunks:
+    for reps, (bits, scratch, counts, outcome, predicted, inside, *mirror) in chunks:
         running = (counts, *mirror)
         keys = _keys(config.seed, reps, scratch)
         if urn_cut is None:
             theta_cut = _theta_cutoffs(source, keys, bits, scratch)
         for buffer in running:
             buffer.fill(0)
-        for k, (ones, fractional) in enumerate(rows):
+        for k, row in enumerate(rows):
             drawn = _draws(keys, 1 + k, bits, scratch)
             if urn_cut is not None:
                 # mode="clip" (the counts never pass k): the default mode
                 # buffers a take's output
                 theta_cut = np.take(urn_cut[k], mirror[0], out=scratch, mode="clip")
             np.less(drawn, theta_cut, out=outcome)
-            # m < 2**53, so phi == 1.0 predicts one and phi == 0.0 zero; only
-            # the cells in between read their prediction slot
-            (lo, hi), *more = ones
-            _in_run(counts, lo, hi, k, predicted, spare)
-            for lo, hi in more:
-                _in_run(counts, lo, hi, k, inside, spare)
-                np.logical_or(predicted, inside, out=predicted)
-            for lo, hi, cut in fractional:
-                if lo == 0 and hi > k:
-                    # the run covers every replication: keys and counts are
-                    # read in place, with no gather
-                    drawn = _draws(keys, horizon + 2 + k, bits, scratch)
-                    if cut.ndim:
-                        cut = np.take(cut, counts, out=scratch, mode="clip")
-                    np.less(drawn, cut, out=predicted)
-                    continue
-                cells = _in_run(counts, lo, hi, k, inside, spare).nonzero()[0]
-                if cells.size:
-                    n = cells.size
-                    drawn = _draws(keys[cells], horizon + 2 + k, bits[:n], scratch[:n])
-                    predicted[cells] = drawn < (cut if cut.ndim == 0 else cut[counts[cells]])
+            slot = horizon + 2 + k
+            if not isinstance(row, tuple):
+                drawn = _draws(keys, slot, bits, scratch)
+                np.less(drawn, np.take(row, mirror[0], out=scratch, mode="clip"), out=predicted)
+            elif row == (0, k + 1):
+                # every entry is 1/2: the draw is made in place, with no gather
+                np.less(_draws(keys, slot, bits, scratch), half, out=predicted)
+            else:
+                # m < 2**53, so only the cells of 1/2 read their prediction slot
+                zeros, ones = row
+                np.greater_equal(counts, ones, out=predicted)
+                if zeros < ones:
+                    np.greater_equal(counts, zeros, out=inside)
+                    cells = np.not_equal(inside, predicted, out=inside).nonzero()[0]
+                    if cells.size:
+                        n = cells.size
+                        drawn = _draws(keys[cells], slot, bits[:n], scratch[:n])
+                        predicted[cells] = drawn < half
             hits[k] += int(np.count_nonzero(np.equal(predicted, outcome, out=inside)))
             for buffer in running:
                 np.add(buffer, outcome, out=buffer)

@@ -65,6 +65,26 @@ def mixed_array(k_max: int) -> PredictionArray:
     )
 
 
+def float_cut_array(k_max: int) -> PredictionArray:
+    """Float entries 0.0, 0.5 and 1.0 alone, rising in n at random cuts:
+    every row is read as cuts, as a row of ``frequent_outcome_array`` is."""
+    rng = random.Random(k_max)
+    rows = []
+    for k in range(k_max + 1):
+        zeros, ones = sorted(rng.randint(0, k + 1) for _ in range(2))
+        rows.append((0.0,) * zeros + (0.5,) * (ones - zeros) + (1.0,) * (k + 1 - ones))
+    return PredictionArray(tuple(rows))
+
+
+def unsorted_halves_array(k_max: int) -> PredictionArray:
+    """Entries 0, 1/2 and 1 alone, in rows that do not rise in n: row 2 is
+    (1, 0, 1/2) and every other row the frequent-outcome row reversed, so
+    each row but row 0 is read as a cutoff table."""
+    rows = [tuple(reversed(row)) for row in frequent_outcome_array(k_max).rows]
+    rows[2] = (Fraction(1), Fraction(0), HALF)
+    return PredictionArray(tuple(rows))
+
+
 class TestConfigValidation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -77,6 +97,15 @@ class TestConfigValidation:
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             SimulationConfig(theta_source=0.5, horizon=5, replications=10, seed=2**64)
+
+    @pytest.mark.parametrize("field", ["horizon", "replications", "seed"])
+    def test_non_integer_fields(self, field):
+        fields = dict(theta_source=0.5, horizon=5, replications=10, seed=1)
+        # a float is refused, not truncated: seeds 1 and 1.5 would agree
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{**fields, field: 1.5})
+        given = SimulationConfig(**{**fields, field: np.int64(fields[field])})
+        assert given == SimulationConfig(**fields) and type(getattr(given, field)) is int
 
     def test_bad_theta(self):
         with pytest.raises(ValueError):
@@ -265,6 +294,18 @@ class TestWorkingSet:
         tracemalloc.start()
         try:
             simulate_accuracy(config, array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * DEFAULT_CHUNK
+
+    def test_beta_prior_table_rows_chunk_peak(self):
+        # every row of Laplace's rule is a cutoff table, gathered through
+        # the same intp mirror as the urn's cutoffs
+        config = SimulationConfig(beta_prior(HALF, Fraction(7, 2)), 71, DEFAULT_CHUNK, 9)
+        tracemalloc.start()
+        try:
+            simulate_accuracy(config, laplace_array(70))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -544,8 +585,9 @@ ENDS = discrete_prior([(0, Fraction(1, 3)), (1, Fraction(2, 3))])
 
 
 class TestGatherOracle:
-    """The run-comparison loop gives the hits of the earlier per-count
-    lookup loop on every array, source and chunk size."""
+    """The step loop, reading each row as cuts or as a cutoff table, gives
+    the hits of the earlier per-count lookup loop on every array, source
+    and chunk size."""
 
     @pytest.mark.parametrize("chunk_size", [1, 12_347, DEFAULT_CHUNK])
     @pytest.mark.parametrize("source", sorted(ORACLE_SOURCES))
@@ -558,10 +600,14 @@ class TestGatherOracle:
             optimal_array(ASYMMETRIC, 12),
             optimal_array(ENDS, 12),
             PredictionArray(tuple(optimal_array(ENDS, 12).rows)),
+            PredictionArray(tuple(frequent_outcome_array(12).rows)),
+            float_cut_array(12),
+            unsorted_halves_array(12),
         ],
         ids=[
             "random0", "random1", "random2", "random3", "frequent", "laplace", "mixed", "ones",
-            "beta-1/2-7/2", "asymmetric", "ends", "ends-rows",
+            "beta-1/2-7/2", "asymmetric", "ends", "ends-rows", "frequent-rows", "float-cuts",
+            "unsorted-halves",
         ],
     )
     def test_same_hits(self, array, source, chunk_size, monkeypatch):
@@ -581,3 +627,18 @@ class TestGatherOracle:
         config = SimulationConfig(ORACLE_SOURCES[source], 300, 2_000, 4_243)
         hits = [step.hits for step in simulate_accuracy(config, array).steps]
         assert hits == gather_loop_hits(config, array, DEFAULT_CHUNK)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 12, 300])
+    def test_given_rows_read_as_cuts(self, k_max):
+        # hits cannot show which form a row took, so read the forms directly
+        array = frequent_outcome_array(k_max)
+        given = PredictionArray(tuple(array.rows))
+        assert simulator._phi_rows(given, k_max + 1) == simulator._phi_rows(array, k_max + 1)
+        floats = simulator._phi_rows(float_cut_array(k_max), k_max + 1)
+        assert all(isinstance(row, tuple) for row in floats)
+
+    def test_unsorted_rows_read_as_tables(self):
+        rows = simulator._phi_rows(unsorted_halves_array(12), 13)
+        assert rows[0] == (0, 1)
+        assert all(isinstance(row, np.ndarray) and row.dtype == np.uint64 for row in rows[1:])
+        assert rows[2].tolist() == [2**53, 0, 2**52]

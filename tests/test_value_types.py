@@ -52,6 +52,3 @@ def test_value_type_contract(cls, fields, rejected):
     if rejected is not None:
         with pytest.raises(ValueError):
             value._replace(**rejected)
-    if cls is PredictionArray:
-        trusted = PredictionArray._trusted(value.rows)
-        assert trusted == value and type(trusted) is PredictionArray
