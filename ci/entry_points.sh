@@ -39,8 +39,11 @@ freqpred simulate 0.4731 300 400 --seed 1 | tail -n 1 \
 # the arrays the package builds are O(k) cuts: as 2*10^8 row entries,
 # frequent_outcome_array(20000) raised MemoryError in _phi_rows under 1 GB
 (ulimit -v 1000000; OPENBLAS_NUM_THREADS=1 freqpred simulate 0.5 20000 2 >/dev/null)
-freqpred posterior discrete:2/5=1/2,3/5=1/2 20 11
-freqpred posterior beta:1,1 4 3 --format json
+# a bool cell and the exact values each command rounds to a float once
+freqpred accuracy 71 9/20 --path direct | tail -n 1 | grep -qx '71,9/20,direct,0.5301701656,true'
+freqpred posterior discrete:2/5=1/2,3/5=1/2 20 11 | tail -n 1 \
+  | grep -qx '"discrete:2/5=1/2,3/5=1/2",20,11,0.5384615385,1,0.5384615385'
+freqpred posterior beta:1,1 4 3 --format json | grep -qx '    "phi": 1.0,'
 # 601 beta rows, each cut at 2n = k + beta - alpha; a per-cell build
 # of these 180,901 cells would take ~2 s
 freqpred posterior beta:7/2,1/2 600 300

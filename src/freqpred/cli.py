@@ -7,6 +7,9 @@ through the exact evaluation paths; plain decimals are floats.  A
 ``threshold`` target parses the same way as theta.  Prior
 specifications ("beta:a,b" / "discrete:v=w,...") always parse their
 numbers exactly, so conjugate answers stay exact.
+
+Each command rounds its exact values to floats once, where it builds its
+rows, so every cell it hands ``emit`` is a str, int, float or bool.
 """
 
 from __future__ import annotations
@@ -93,70 +96,40 @@ def parse_prior(spec: str):
 MAX_SIGNIFICANT_DIGITS = 767
 
 
-def _csv_cell(value, spec: str):
-    """A CSV cell by ``isinstance``: a string as itself, a bool as
-    true/false, an int by ``str``, anything else as ``spec % float(value)``."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return spec % float(value)
-
-
 def _json_float(value: float) -> str:
     # RFC 8259 has no Infinity or NaN, so a non-finite float becomes null
     return float.__repr__(value) if math.isfinite(value) else "null"
-
-
-def _json_scalar(value) -> str:
-    """``value`` as ``json.dumps`` writes it, by json's own scalar encoders."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return _json_float(float(value))
-
-
-# the writers for cells of exactly these types; every other type (bool,
-# Fraction, subclasses, numpy scalars) goes to _json_scalar
-_JSON_CELLS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
 
 
 def emit(fmt: str, out: str | None, header: list[str], rows: list, digits: int) -> None:
     """Write one table as CSV (header row, '\\n' terminated) or JSON array,
     to the file ``out``, or to stdout when ``out`` is None.
 
-    The JSON is byte for byte ``json.dumps(rows as dicts, indent=2)``, but
-    each row fills one template of ``"    <key>: "`` prefixes instead of
-    going through json's pure-Python indenting encoder.  Each cell's writer
-    is looked up by its exact type, which gives the same text as the
-    ``isinstance`` tests of ``_json_scalar`` and ``_csv_cell`` for a str,
-    int or float."""
+    Each cell's exact type is str, int, float or bool (a command rounds its
+    exact values to floats once, where it builds its rows), and the cell's
+    writer is looked up by that type: a bool is written true/false, and
+    JSON writes a non-finite float as null.  The JSON is byte for byte
+    ``json.dumps(rows as dicts, indent=2)``, but each row fills one template
+    of ``"    <key>: "`` prefixes instead of going through json's
+    pure-Python indenting encoder."""
+    boolean = ("false", "true").__getitem__
     if fmt == "json":
-        write = _JSON_CELLS.get
+        write = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float, bool: boolean}
         prefixes = [f"    {encode_basestring_ascii(name)}: " for name in header]
         objects = ",\n".join(
             "  {\n"
-            + ",\n".join(
-                prefix + write(type(value), _json_scalar)(value)
-                for prefix, value in zip(prefixes, row)
-            )
+            + ",\n".join(prefix + write[type(value)](value) for prefix, value in zip(prefixes, row))
             + "\n  }"
             for row in rows
         )
         text = f"[\n{objects}\n]\n" if rows else "[]\n"
     else:
         spec = f"%.{min(digits, MAX_SIGNIFICANT_DIGITS)}g"
-        write = {str: str.__str__, int: int.__repr__, float: spec.__mod__}.get
-        other = functools.partial(_csv_cell, spec=spec)
+        write = {str: str.__str__, int: int.__repr__, float: spec.__mod__, bool: boolean}
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([write(type(cell), other)(cell) for cell in row] for row in rows)
+        writer.writerows([write[type(cell)](cell) for cell in row] for row in rows)
         text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)
@@ -193,7 +166,7 @@ def cmd_accuracy(args):
     values = {name: ACCURACY_PATHS[name](k, theta) for name in names}
     # every route is exact, or the exact value rounded once: equal or wrong
     agree = len(set(values.values())) == 1
-    rows = [[k, args.theta, name, values[name], agree] for name in names]
+    rows = [[k, args.theta, name, float(values[name]), agree] for name in names]
     return ["k", "theta", "path", "pi", "agree"], rows, 0 if agree else 1
 
 
@@ -219,7 +192,7 @@ def cmd_threshold(args):
     theta = parse_theta(args.theta)
     target = parse_theta(args.target)
     k = acc.threshold_k(theta, target)
-    rows = [[args.theta, target, "unreachable" if k is None else k]]
+    rows = [[args.theta, float(target), "unreachable" if k is None else k]]
     return ["theta", "target", "k"], rows, 0
 
 
@@ -229,7 +202,7 @@ def cmd_posterior(args):
     mean = posterior_mean(prior, stat)
     phi = optimal_array(prior, args.k).phi(args.k, args.n)
     probability = posterior_correct_probability(phi, prior, stat)
-    rows = [[args.prior, args.k, args.n, mean, phi, probability]]
+    rows = [[args.prior, args.k, args.n, float(mean), float(phi), float(probability)]]
     return ["prior", "k", "n", "mean", "phi", "probability"], rows, 0
 
 

@@ -70,6 +70,12 @@ class CountStatistic(_CountStatistic):
         return cls(*iterable)  # so _replace checks too
 
 
+class _Hashed(int):
+    """A hash value that hashes as itself (int's hash reduces it mod 2**61 - 1)."""
+
+    __hash__ = int.__index__
+
+
 class _CutRows(Sequence):
     """The rows of the arrays this package builds: each a run of 0, a run of
     1/2 and a run of 1, held as two cuts, 0 below ``cuts[k][0]``, 1 from
@@ -96,7 +102,13 @@ class _CutRows(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        # a tuple's hash is a function of its items' hashes: hash one row at a
+        # time, its entries as their hashes (0, 2**60 and 1, each its own hash)
+        zero, half, one = hash(ZERO), hash(HALF), hash(ONE)
+        return hash(tuple(
+            _Hashed(hash((zero,) * z + (half,) * (o - z) + (one,) * (k + 1 - o)))
+            for k, (z, o) in enumerate(self.cuts)
+        ))
 
     def __repr__(self) -> str:
         return repr(tuple(self))
